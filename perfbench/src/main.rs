@@ -130,13 +130,14 @@ fn run_passes(args: &Args) -> Result<Vec<Pass>, String> {
             pass.spans = SpanLog::new(false);
         }
         println!(
-            "pass {} ({}): setup {:.3} s, window {:.3} s, {} requests, peak rss {} kB, digest {:#018x}",
+            "pass {} ({}): setup {:.3} s, window {:.3} s, {} requests, peak rss {} kB, steal {:.3}, digest {:#018x}",
             index + 1,
             if traced { "traced" } else { "untraced" },
             pass.setup_s,
             pass.replayed.wall_s,
             pass.replayed.requests,
             pass.peak_rss_kb,
+            pass.steal_share,
             pass.replayed.digest,
         );
         let values: Vec<String> = metrics::pass_end_to_end(&pass)

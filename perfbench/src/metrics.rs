@@ -54,7 +54,7 @@ fn us(ns: u64) -> f64 {
 
 /// One pass's end-to-end values, in `BENCHMARK.json` order; the run reports
 /// the median of each over its untraced passes (`peak_rss_mb` follows).
-pub fn pass_end_to_end(pass: &Pass) -> [(&'static str, f64, &'static str); 8] {
+pub fn pass_end_to_end(pass: &Pass) -> [(&'static str, f64, &'static str); 7] {
     let r = &pass.replayed;
     let refresh_mean_ns = ratio(
         r.refresh_ns.iter().sum::<u64>() as f64,
@@ -63,7 +63,6 @@ pub fn pass_end_to_end(pass: &Pass) -> [(&'static str, f64, &'static str); 8] {
     [
         ("throughput_rps", ratio(r.requests as f64, r.wall_s), "1/s"),
         ("refresh_mean_ms", refresh_mean_ns / 1e6, "ms"),
-        ("refresh_p99_ms", ms(quantile(&r.refresh_ns, 0.99)), "ms"),
         ("open_p50_ms", ms(quantile(&r.open_ns, 0.50)), "ms"),
         ("query_p50_us", us(quantile(&r.query_ns, 0.50)), "us"),
         (
@@ -269,7 +268,13 @@ impl Report {
             }),
             "ratio",
         ));
+        per_layer.push((
+            "client.refresh_p99_ms".into(),
+            untraced(&|p| ms(quantile(&p.replayed.refresh_ns, 0.99))),
+            "ms",
+        ));
         per_layer.push(("net.ping_p50_us".into(), all(&|p| us(p.ping_p50_ns)), "us"));
+        per_layer.push(("host.steal_share".into(), all(&|p| p.steal_share), "ratio"));
         per_layer.push(("workload.generate_s".into(), all(&|p| p.generate_s), "s"));
         per_layer.push((
             "trace.overhead_s".into(),

@@ -6,8 +6,8 @@
 //! then replays the measured part of the trace.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader};
-use std::process::{Child, Command, Stdio};
+use std::io::{self, BufRead, BufReader};
+use std::process::{Child, ChildStdin, Command, Stdio};
 
 use svgic_core::SvgicInstance;
 use svgic_engine::prelude::*;
@@ -128,6 +128,10 @@ pub struct Pass {
     /// the server process, or this process for in-process workloads (where
     /// it also covers the earlier passes).
     pub peak_rss_kb: u64,
+    /// Share of the vCPUs' time during the pass that the hypervisor gave
+    /// to other guests (`steal` in `/proc/stat`). Every timing of the pass
+    /// is slowed by it; it explains runs that disagree.
+    pub steal_share: f64,
     /// Spans of a traced pass (empty when untraced), their summary and
     /// their p99 duration per name.
     pub spans: SpanLog,
@@ -152,6 +156,7 @@ fn ping_p50<T: EngineTransport>(engine: &mut T) -> Result<u64, String> {
 /// Runs one pass of `workload` on the traffic of `seed`.
 pub fn run_pass(workload: &Workload, seed: u64, traced: bool) -> Result<Pass, String> {
     let start = now();
+    let steal_start = host_steal_s().ok_or("cannot read steal time from /proc/stat")?;
     let trace = trace(workload, seed);
     let generate_s = seconds_between(start, now());
     let instances = instances(&trace);
@@ -188,6 +193,8 @@ pub fn run_pass(workload: &Workload, seed: u64, traced: bool) -> Result<Pass, St
     let measure_start = replayed
         .measure_start
         .ok_or("the trace ended before the measured window began")?;
+    let steal_s = host_steal_s().ok_or("cannot read steal time from /proc/stat")? - steal_start;
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     Ok(Pass {
         traced,
         setup_s: seconds_between(start, measure_start),
@@ -195,10 +202,25 @@ pub fn run_pass(workload: &Workload, seed: u64, traced: bool) -> Result<Pass, St
         replayed,
         ping_p50_ns,
         peak_rss_kb: peak_rss_kb.ok_or("cannot read VmHWM from /proc")?,
+        steal_share: steal_s / (seconds_between(start, now()) * cpus as f64),
         span_summary: spans.summary(),
         span_p99_ns: spans.quantiles(0.99),
         spans,
     })
+}
+
+/// Steal time of all vCPUs since boot, in seconds: the eighth field of the
+/// `cpu` line of `/proc/stat`, in clock ticks of 1/100 s.
+fn host_steal_s() -> Option<f64> {
+    let stat = std::fs::read_to_string("/proc/stat").ok()?;
+    let ticks: u64 = stat
+        .lines()
+        .next()?
+        .split_whitespace()
+        .nth(8)?
+        .parse()
+        .ok()?;
+    Some(ticks as f64 / 100.0)
 }
 
 /// `VmHWM` (peak resident set, in kB) from a `/proc/<pid>/status` file.
@@ -210,13 +232,18 @@ pub fn peak_rss_kb(status_path: &str) -> Option<u64> {
 
 /// The benchmark binary re-run as `serve`: one engine behind a `svgic-net`
 /// server on an ephemeral loopback port, as `loadgen serve --port 0
-/// --workers 2` runs it. Prints the bound address, then serves until a
-/// client sends a shutdown frame.
+/// --workers 2` runs it. Prints the bound address, then serves until its
+/// standard input is closed.
+///
+/// The parent does not stop it with a shutdown frame: `NetServer::join`
+/// can return before the connection's writer thread has sent the shutdown
+/// acknowledgement, and when the process exits first the client reads a
+/// closed connection instead of the acknowledgement.
 pub fn serve() -> Result<(), String> {
     let server = NetServer::bind(("127.0.0.1", 0), Engine::new(engine_config()))
         .map_err(|e| format!("bind 127.0.0.1:0: {e}"))?;
     println!("{}", server.local_addr());
-    server.join();
+    io::copy(&mut io::stdin().lock(), &mut io::sink()).map_err(|e| format!("read stdin: {e}"))?;
     Ok(())
 }
 
@@ -224,6 +251,8 @@ pub fn serve() -> Result<(), String> {
 /// down cleanly.
 struct ServerProcess {
     child: Option<Child>,
+    /// The child's standard input; closing it stops the server.
+    stdin: Option<ChildStdin>,
     addr: String,
 }
 
@@ -232,13 +261,15 @@ impl ServerProcess {
         let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
         let mut child = Command::new(exe)
             .arg("serve")
-            .stdin(Stdio::null())
+            .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .spawn()
             .map_err(|e| format!("spawn server: {e}"))?;
         let stdout = child.stdout.take().expect("stdout is piped");
+        let stdin = child.stdin.take();
         let mut server = ServerProcess {
             child: Some(child),
+            stdin,
             addr: String::new(),
         };
         BufReader::new(stdout)
@@ -259,10 +290,11 @@ impl ServerProcess {
         NetClient::connect(self.addr.as_str()).map_err(|e| format!("connect {}: {e}", self.addr))
     }
 
+    /// Hangs up, closes the server's standard input and waits for it to
+    /// exit cleanly.
     fn shutdown(mut self, client: NetClient) -> Result<(), String> {
-        client
-            .shutdown_server()
-            .map_err(|e| format!("shutdown server: {e}"))?;
+        drop(client);
+        drop(self.stdin.take());
         let mut child = self.child.take().expect("server not yet reaped");
         let status = child.wait().map_err(|e| format!("wait for server: {e}"))?;
         if status.success() {
