@@ -838,28 +838,22 @@ impl<B: EngineTransport> Cluster<B> {
             .iter_mut()
             .map(|(&id, engine)| {
                 let info = engine.describe().expect("node answers Describe");
-                let snapshot = engine.stats().expect("node answers QueryStats");
-                let telemetry = engine
-                    .query_telemetry()
-                    .expect("node answers QueryTelemetry");
                 NodeSnapshot {
                     node: NodeId(id),
                     sessions: info.sessions as u64,
                     queue_depth: info.pending_events as u64,
-                    engine: snapshot,
-                    telemetry,
+                    engine: engine.stats().expect("node answers QueryStats"),
                 }
             })
             .collect();
-        let mut merged: Option<StatsSnapshot> = None;
+        // Merging into an empty snapshot keeps the node-local ring and span
+        // sections out of the fleet view.
+        let mut merged = svgic_engine::EngineStats::default().snapshot();
         for node in &nodes {
-            match &mut merged {
-                None => merged = Some(node.engine.clone()),
-                Some(all) => all.merge(&node.engine),
-            }
+            merged.merge(&node.engine);
         }
         ClusterSnapshot {
-            merged: merged.unwrap_or_else(|| svgic_engine::EngineStats::default().snapshot()),
+            merged,
             nodes,
             stats: self.stats.clone(),
         }
@@ -1406,11 +1400,11 @@ mod tests {
         let snapshot = cluster.snapshot();
         for node in &snapshot.nodes {
             assert!(
-                !node.telemetry.is_empty(),
+                !node.engine.telemetry.is_empty(),
                 "{}: each flush ticks the node's sampler",
                 node.node
             );
-            let ticks: Vec<u64> = node.telemetry.iter().map(|s| s.tick).collect();
+            let ticks: Vec<u64> = node.engine.telemetry.iter().map(|s| s.tick).collect();
             let mut sorted = ticks.clone();
             sorted.sort_unstable();
             assert_eq!(ticks, sorted, "ticks are monotone");

@@ -1,6 +1,6 @@
 //! Cluster-level counters and aggregated snapshots.
 
-use svgic_engine::{Health, StatsSnapshot, TelemetrySample};
+use svgic_engine::{Health, StatsSnapshot};
 
 use crate::ring::NodeId;
 
@@ -57,11 +57,9 @@ pub struct NodeSnapshot {
     pub sessions: u64,
     /// Pending events queued on the node right now.
     pub queue_depth: u64,
-    /// The node engine's full counter snapshot.
+    /// The node engine's full snapshot, its per-tick time series
+    /// (`engine.telemetry`) included.
     pub engine: StatsSnapshot,
-    /// The node's per-tick time series, oldest sample first (empty when the
-    /// node runs with sampling disabled).
-    pub telemetry: Vec<TelemetrySample>,
 }
 
 impl NodeSnapshot {

@@ -76,7 +76,10 @@ pub enum EngineRequest {
     /// ([`crate::Engine::flush`]). Not counted as a request — the flush
     /// clock belongs to the driver, not to traffic accounting.
     Flush,
-    /// Reads a point-in-time snapshot of the engine counters.
+    /// Reads a point-in-time [`StatsSnapshot`] — the one read of engine
+    /// state: counters and derived metrics (`StatsSnapshot::metrics`), the
+    /// solve ledger, the telemetry ring and the span sections. Not counted
+    /// as a request.
     QueryStats,
     /// Resets the engine counters (sessions and caches stay) — the warmup
     /// measurement boundary.
@@ -89,21 +92,6 @@ pub enum EngineRequest {
     ImportSession(Box<SessionExport>),
     /// Probes the engine's shape and occupancy ([`EngineInfo`]).
     Describe,
-    /// Reads the engine's exported metric series — the same ordered
-    /// `(name, value)` list `StatsSnapshot::metrics()` produces locally, so
-    /// remote scrapers (`loadgen metrics --connect`) need no snapshot codec
-    /// knowledge to plot a node.
-    QueryMetrics,
-    /// Reads the engine's telemetry ring — the per-tick
-    /// [`TelemetrySample`](svgic_obs::TelemetrySample) time series — so
-    /// remote nodes' history lands in cluster reports and
-    /// `loadgen --trace-out` counter tracks.
-    QueryTelemetry,
-    /// Reads the engine's profile — the per-template cost-attribution
-    /// ledger plus the critical path assembled from the flight recorder
-    /// (phase aggregates, top-K-slowest request waterfalls, collapsed-stack
-    /// export) — behind `loadgen profile --connect`.
-    QueryProfile,
     /// Clones a live session into its transferable [`SessionExport`] form
     /// *without* draining it — the replication half of warm standby: the
     /// session keeps serving while a copy travels to its ring-successor.
@@ -193,7 +181,8 @@ pub enum EngineResponse {
     },
     /// The batch flush completed.
     Flushed,
-    /// The engine counters (boxed: the snapshot carries per-shard vectors).
+    /// The engine's state snapshot (boxed: it carries per-shard vectors, the
+    /// ledger, the telemetry ring and the span sections).
     Stats(Box<StatsSnapshot>),
     /// The counters were reset.
     StatsReset,
@@ -203,14 +192,6 @@ pub enum EngineResponse {
     SessionImported(SessionId),
     /// The engine's shape and occupancy.
     Description(EngineInfo),
-    /// The engine's exported metric series, in `StatsSnapshot::metrics()`
-    /// order.
-    Metrics(Vec<(String, f64)>),
-    /// The engine's telemetry ring, oldest sample first.
-    Telemetry(Vec<svgic_obs::TelemetrySample>),
-    /// The engine's profile (boxed: carries ledger entries, waterfalls and
-    /// the collapsed-stack text).
-    Profile(Box<crate::profile::EngineProfile>),
     /// The standby replica was stored.
     StandbyStored,
     /// The standby replica under the requested key, removed from the store

@@ -45,7 +45,7 @@ use crate::api::{
     ConfigurationView, CreateSession, EngineError, EngineInfo, EngineRequest, EngineResponse,
     SessionEvent, SessionId,
 };
-use crate::profile::{EngineProfile, ProfileEntry};
+use crate::profile::ProfileEntry;
 use crate::session::{Served, SessionExport};
 use crate::stats::{ShardSnapshot, StatsSnapshot};
 
@@ -731,6 +731,11 @@ fn write_stats(w: &mut Writer, s: &StatsSnapshot) {
         write_profile_entry(w, entry);
     }
     w.u64(s.profile_dropped);
+    w.len(s.telemetry.len());
+    for sample in &s.telemetry {
+        write_sample(w, sample);
+    }
+    write_spans(w, s);
 }
 
 fn read_stats(r: &mut Reader) -> Result<StatsSnapshot, CodecError> {
@@ -794,6 +799,15 @@ fn read_stats(r: &mut Reader) -> Result<StatsSnapshot, CodecError> {
                 .collect::<Result<Vec<_>, CodecError>>()?
         },
         profile_dropped: r.u64()?,
+        telemetry: {
+            let n = r.len(88)?;
+            (0..n)
+                .map(|_| read_sample(r))
+                .collect::<Result<Vec<_>, CodecError>>()?
+        },
+        phases: read_phases(r)?,
+        waterfalls: read_waterfalls(r)?,
+        collapsed: r.str()?,
     })
 }
 
@@ -837,21 +851,18 @@ fn read_phase(r: &mut Reader) -> Result<Phase, CodecError> {
     })
 }
 
-fn write_profile(w: &mut Writer, p: &EngineProfile) {
-    w.len(p.entries.len());
-    for entry in &p.entries {
-        write_profile_entry(w, entry);
-    }
-    w.u64(p.dropped);
-    w.len(p.phases.len());
-    for agg in &p.phases {
+/// The span sections of a snapshot: phase aggregates, waterfalls and the
+/// collapsed-stack text.
+fn write_spans(w: &mut Writer, s: &StatsSnapshot) {
+    w.len(s.phases.len());
+    for agg in &s.phases {
         write_phase(w, agg.phase);
         w.u64(agg.count);
         w.u64(agg.total_nanos);
         w.u64(agg.max_nanos);
     }
-    w.len(p.waterfalls.len());
-    for wf in &p.waterfalls {
+    w.len(s.waterfalls.len());
+    for wf in &s.waterfalls {
         w.u64(wf.request_id);
         w.u64(wf.total_nanos);
         w.len(wf.spans.len());
@@ -862,17 +873,12 @@ fn write_profile(w: &mut Writer, p: &EngineProfile) {
             w.u32(span.shard);
         }
     }
-    w.str(&p.collapsed);
+    w.str(&s.collapsed);
 }
 
-fn read_profile(r: &mut Reader) -> Result<EngineProfile, CodecError> {
-    let entry_count = r.len(64)?;
-    let entries = (0..entry_count)
-        .map(|_| read_profile_entry(r))
-        .collect::<Result<Vec<_>, CodecError>>()?;
-    let dropped = r.u64()?;
+fn read_phases(r: &mut Reader) -> Result<Vec<PhaseAggregate>, CodecError> {
     let phase_count = r.len(25)?;
-    let phases = (0..phase_count)
+    (0..phase_count)
         .map(|_| {
             Ok(PhaseAggregate {
                 phase: read_phase(r)?,
@@ -881,9 +887,12 @@ fn read_profile(r: &mut Reader) -> Result<EngineProfile, CodecError> {
                 max_nanos: r.u64()?,
             })
         })
-        .collect::<Result<Vec<_>, CodecError>>()?;
+        .collect()
+}
+
+fn read_waterfalls(r: &mut Reader) -> Result<Vec<RequestWaterfall>, CodecError> {
     let waterfall_count = r.len(20)?;
-    let waterfalls = (0..waterfall_count)
+    (0..waterfall_count)
         .map(|_| {
             let request_id = r.u64()?;
             let total_nanos = r.u64()?;
@@ -904,14 +913,7 @@ fn read_profile(r: &mut Reader) -> Result<EngineProfile, CodecError> {
                 spans,
             })
         })
-        .collect::<Result<Vec<_>, CodecError>>()?;
-    Ok(EngineProfile {
-        entries,
-        dropped,
-        phases,
-        waterfalls,
-        collapsed: r.str()?,
-    })
+        .collect()
 }
 
 /// One fixed-width (88-byte) telemetry sample: eleven `u64` fields in
@@ -1037,9 +1039,7 @@ pub fn encode_request(request: &EngineRequest) -> Vec<u8> {
             write_export(&mut w, export);
         }
         EngineRequest::Describe => w.u8(11),
-        EngineRequest::QueryMetrics => w.u8(12),
-        EngineRequest::QueryTelemetry => w.u8(13),
-        EngineRequest::QueryProfile => w.u8(14),
+        // Tags 12–14 are retired (reserved): decode rejects them.
         EngineRequest::SnapshotSession(session) => {
             w.u8(15);
             w.u64(session.0);
@@ -1087,9 +1087,6 @@ pub fn decode_request(bytes: &[u8]) -> Result<EngineRequest, CodecError> {
         9 => EngineRequest::ExportSession(SessionId(r.u64()?)),
         10 => EngineRequest::ImportSession(Box::new(read_export(&mut r)?)),
         11 => EngineRequest::Describe,
-        12 => EngineRequest::QueryMetrics,
-        13 => EngineRequest::QueryTelemetry,
-        14 => EngineRequest::QueryProfile,
         15 => EngineRequest::SnapshotSession(SessionId(r.u64()?)),
         16 => {
             let key = r.u64()?;
@@ -1162,25 +1159,7 @@ pub fn encode_response(response: &Result<EngineResponse, EngineError>) -> Vec<u8
             w.u8(11);
             write_info(&mut w, info);
         }
-        Ok(EngineResponse::Metrics(metrics)) => {
-            w.u8(12);
-            w.len(metrics.len());
-            for (name, value) in metrics {
-                w.str(name);
-                w.f64(*value);
-            }
-        }
-        Ok(EngineResponse::Telemetry(samples)) => {
-            w.u8(13);
-            w.len(samples.len());
-            for sample in samples {
-                write_sample(&mut w, sample);
-            }
-        }
-        Ok(EngineResponse::Profile(profile)) => {
-            w.u8(14);
-            write_profile(&mut w, profile);
-        }
+        // Tags 12–14 are retired (reserved): decode rejects them.
         Ok(EngineResponse::StandbyStored) => w.u8(15),
         Ok(EngineResponse::StandbyTaken(export)) => {
             w.u8(16);
@@ -1216,21 +1195,6 @@ pub fn decode_response(bytes: &[u8]) -> Result<Result<EngineResponse, EngineErro
         )?))),
         10 => Ok(EngineResponse::SessionImported(SessionId(r.u64()?))),
         11 => Ok(EngineResponse::Description(read_info(&mut r)?)),
-        12 => {
-            let n = r.len(12)?;
-            let metrics = (0..n)
-                .map(|_| Ok((r.str()?, r.f64()?)))
-                .collect::<Result<Vec<_>, CodecError>>()?;
-            Ok(EngineResponse::Metrics(metrics))
-        }
-        13 => {
-            let n = r.len(88)?;
-            let samples = (0..n)
-                .map(|_| read_sample(&mut r))
-                .collect::<Result<Vec<_>, CodecError>>()?;
-            Ok(EngineResponse::Telemetry(samples))
-        }
-        14 => Ok(EngineResponse::Profile(Box::new(read_profile(&mut r)?))),
         15 => Ok(EngineResponse::StandbyStored),
         16 => Ok(EngineResponse::StandbyTaken(
             read_option(&mut r, read_export)?.map(Box::new),
@@ -1285,9 +1249,6 @@ mod tests {
             EngineRequest::ResetStats,
             EngineRequest::ExportSession(SessionId(4)),
             EngineRequest::Describe,
-            EngineRequest::QueryMetrics,
-            EngineRequest::QueryTelemetry,
-            EngineRequest::QueryProfile,
             EngineRequest::SnapshotSession(SessionId(5)),
             EngineRequest::PutStandby(
                 0xC0FFEE,
@@ -1351,82 +1312,90 @@ mod tests {
         );
     }
 
+    /// Round-trips `snapshot` as a `Stats` response: decodes to an equal
+    /// value and re-encodes byte-identically.
+    fn assert_stats_roundtrip(snapshot: StatsSnapshot) {
+        let response = Ok(EngineResponse::Stats(Box::new(snapshot.clone())));
+        let bytes = encode_response(&response);
+        match decode_response(&bytes).expect("decodes") {
+            Ok(EngineResponse::Stats(decoded)) => assert_eq!(*decoded, snapshot),
+            other => panic!("decoded {other:?}"),
+        }
+        assert_eq!(encode_response(&response), bytes, "canonical re-encode");
+    }
+
     #[test]
     fn profile_responses_roundtrip() {
-        let profile = EngineProfile {
-            entries: vec![
-                ProfileEntry {
-                    template_fingerprint: 0x1111,
-                    warm_solves: 3,
-                    cold_solves: 2,
-                    warm_nanos: 9_000,
-                    cold_nanos: 80_000,
-                    miss_new: 1,
-                    miss_evicted: 1,
-                    miss_component_changed: 0,
-                },
-                ProfileEntry {
-                    template_fingerprint: 0x2222,
-                    cold_solves: 1,
-                    cold_nanos: 40_000,
-                    miss_new: 1,
-                    ..ProfileEntry::default()
-                },
-            ],
-            dropped: 4,
-            phases: vec![PhaseAggregate {
-                phase: Phase::QueueWait,
-                count: 7,
-                total_nanos: 70_000,
-                max_nanos: 20_000,
+        let mut snapshot = crate::stats::EngineStats::with_shards(1).snapshot();
+        assert_stats_roundtrip(snapshot.clone());
+        snapshot.profile = vec![
+            ProfileEntry {
+                template_fingerprint: 0x1111,
+                warm_solves: 3,
+                cold_solves: 2,
+                warm_nanos: 9_000,
+                cold_nanos: 80_000,
+                miss_new: 1,
+                miss_evicted: 1,
+                miss_component_changed: 0,
+            },
+            ProfileEntry {
+                template_fingerprint: 0x2222,
+                cold_solves: 1,
+                cold_nanos: 40_000,
+                miss_new: 1,
+                ..ProfileEntry::default()
+            },
+        ];
+        snapshot.profile_dropped = 4;
+        snapshot.phases = vec![PhaseAggregate {
+            phase: Phase::QueueWait,
+            count: 7,
+            total_nanos: 70_000,
+            max_nanos: 20_000,
+        }];
+        snapshot.waterfalls = vec![RequestWaterfall {
+            request_id: 42,
+            total_nanos: 1_000,
+            spans: vec![WaterfallSpan {
+                phase: Phase::WireWait,
+                start_nanos: 0,
+                duration_nanos: 250,
+                shard: u32::MAX,
             }],
-            waterfalls: vec![RequestWaterfall {
-                request_id: 42,
-                total_nanos: 1_000,
-                spans: vec![WaterfallSpan {
-                    phase: Phase::WireWait,
-                    start_nanos: 0,
-                    duration_nanos: 250,
-                    shard: u32::MAX,
-                }],
-            }],
-            collapsed: "Serve 100\nServe;ShardDispatch 40\n".into(),
-        };
-        for value in [EngineProfile::default(), profile] {
-            let response = Ok(EngineResponse::Profile(Box::new(value.clone())));
-            let bytes = encode_response(&response);
-            match decode_response(&bytes).expect("decodes") {
-                Ok(EngineResponse::Profile(decoded)) => assert_eq!(*decoded, value),
-                other => panic!("decoded {other:?}"),
-            }
-            assert_eq!(encode_response(&response), bytes, "canonical re-encode");
-        }
+        }];
+        snapshot.collapsed = "Serve 100\nServe;ShardDispatch 40\n".into();
+        assert_stats_roundtrip(snapshot);
     }
 
     #[test]
     fn profile_phase_indices_reject_unknown_phases() {
-        // A Profile response whose phase index is past `Phase::ALL` must be
-        // rejected as a bad tag, not mapped to some arbitrary phase.
-        let mut w = Writer::new();
-        w.u8(14); // Profile response tag
-        w.len(0); // no ledger entries
-        w.u64(0); // dropped
-        w.len(1); // one phase aggregate
-        w.u8(200); // phase index far outside Phase::ALL
-        w.u64(1);
-        w.u64(1);
-        w.u64(1);
-        w.len(0); // no waterfalls
-        w.str(""); // collapsed
+        // A Stats response whose span-section phase index is past
+        // `Phase::ALL` must be rejected as a bad tag, not mapped to some
+        // arbitrary phase.
+        let mut snapshot = crate::stats::EngineStats::with_shards(1).snapshot();
+        snapshot.phases = vec![PhaseAggregate {
+            phase: Phase::Round,
+            count: 1,
+            total_nanos: 1,
+            max_nanos: 1,
+        }];
+        let mut bytes = encode_response(&Ok(EngineResponse::Stats(Box::new(snapshot))));
+        // The payload ends: phase index, three u64s, an empty waterfall
+        // list and an empty collapsed string.
+        let at = bytes.len() - (1 + 3 * 8 + 4 + 4);
+        assert_eq!(bytes[at], Phase::Round.index());
+        bytes[at] = 200; // far outside Phase::ALL
         assert!(matches!(
-            decode_response(&w.buf),
+            decode_response(&bytes),
             Err(CodecError::BadTag { what: "phase", .. })
         ));
     }
 
     #[test]
     fn telemetry_responses_roundtrip() {
-        let samples = vec![
+        let mut snapshot = crate::stats::EngineStats::with_shards(2).snapshot();
+        snapshot.telemetry = vec![
             TelemetrySample {
                 tick: 0,
                 requests: 12,
@@ -1445,15 +1414,7 @@ mod tests {
                 ..TelemetrySample::default()
             },
         ];
-        for list in [Vec::new(), samples] {
-            let response = Ok(EngineResponse::Telemetry(list.clone()));
-            let bytes = encode_response(&response);
-            match decode_response(&bytes).expect("decodes") {
-                Ok(EngineResponse::Telemetry(decoded)) => assert_eq!(decoded, list),
-                other => panic!("decoded {other:?}"),
-            }
-            assert_eq!(encode_response(&response), bytes, "canonical re-encode");
-        }
+        assert_stats_roundtrip(snapshot);
     }
 
     #[test]
@@ -1685,11 +1646,18 @@ mod tests {
             decode_request(&extended).err(),
             Some(CodecError::Trailing(1))
         );
-        // Unknown tags are rejected.
-        assert!(matches!(
-            decode_request(&[0xFF]),
-            Err(CodecError::BadTag { .. })
-        ));
+        // Unknown tags are rejected, including the retired read tags
+        // 0x0c–0x0e in both directions.
+        for tag in [0x0C, 0x0D, 0x0E, 0xFF] {
+            assert!(
+                matches!(decode_request(&[tag]), Err(CodecError::BadTag { .. })),
+                "request tag {tag:#04x}"
+            );
+            assert!(
+                matches!(decode_response(&[tag]), Err(CodecError::BadTag { .. })),
+                "response tag {tag:#04x}"
+            );
+        }
         // A corrupted length field cannot allocate past the payload.
         let mut corrupt = bytes;
         // Byte 9 starts the edge-count length prefix (tag + n users).

@@ -65,7 +65,7 @@ use crate::cache::FactorCache;
 use crate::fingerprint::instance_fingerprint;
 use crate::policy::{LpStart, PolicyInputs, ResolveKind, ResolvePolicy};
 use crate::pool::WorkerPool;
-use crate::profile::{EngineProfile, SolveLedger};
+use crate::profile::SolveLedger;
 use crate::scheduler::coalesce;
 use crate::session::{Served, SessionExport, SessionState};
 use crate::stats::{EngineStats, StatsSnapshot};
@@ -316,10 +316,28 @@ impl Engine {
             .sum()
     }
 
-    /// A point-in-time snapshot of the engine counters. Refreshes the
-    /// session-side `mem_*` gauges first (an O(sessions) arithmetic walk —
-    /// strictly read-side, never touching matrix data).
+    /// A point-in-time snapshot of the engine — the one read of engine
+    /// state, answered to [`EngineRequest::QueryStats`]: the counters plus
+    /// the per-template solve ledger, the telemetry ring and the span
+    /// sections folded from the flight recorder (empty while tracing is
+    /// off).
     pub fn stats(&self) -> StatsSnapshot {
+        let mut snapshot = self.counters();
+        snapshot.profile = self.ledger.entries();
+        snapshot.profile_dropped = self.ledger.dropped();
+        snapshot.telemetry = self.telemetry.samples();
+        let spans = self.spans();
+        snapshot.phases = svgic_obs::aggregate_phases(&spans);
+        snapshot.waterfalls = svgic_obs::assemble_waterfalls(&spans);
+        snapshot.collapsed = svgic_obs::collapsed_stacks(&spans);
+        snapshot
+    }
+
+    /// The counters-only snapshot behind [`Engine::stats`] and the
+    /// per-flush telemetry sampler: no ledger, ring or span sections.
+    /// Refreshes the session-side `mem_*` gauges first (an O(sessions)
+    /// arithmetic walk — strictly read-side, never touching matrix data).
+    fn counters(&self) -> StatsSnapshot {
         // Shard jobs publish their cache gauges after sending their last
         // outcome but before releasing the shard lock, so a batch can look
         // finished (all outcomes drained) while a worker's gauge store is
@@ -331,26 +349,7 @@ impl Engine {
             drop(shard.lock().expect("shard poisoned"));
         }
         self.refresh_mem_gauges();
-        let mut snapshot = self.stats.snapshot();
-        snapshot.profile = self.ledger.entries();
-        snapshot.profile_dropped = self.ledger.dropped();
-        snapshot
-    }
-
-    /// The engine's full profile: the per-template ledger plus the critical
-    /// path assembled from the flight recorder (the in-process answer to
-    /// [`EngineRequest::QueryProfile`]). The span-derived sections are empty
-    /// when tracing is off; the ledger sections are empty at
-    /// `profile_capacity: 0`.
-    pub fn profile(&self) -> EngineProfile {
-        let spans = self.spans();
-        EngineProfile {
-            entries: self.ledger.entries(),
-            dropped: self.ledger.dropped(),
-            phases: svgic_obs::aggregate_phases(&spans),
-            waterfalls: svgic_obs::assemble_waterfalls(&spans),
-            collapsed: svgic_obs::collapsed_stacks(&spans),
-        }
+        self.stats.snapshot()
     }
 
     /// Recomputes the session/pending/served byte gauges from the live
@@ -380,13 +379,6 @@ impl Engine {
         self.ledger.clear();
     }
 
-    /// The telemetry ring's samples, oldest first (empty when
-    /// [`EngineConfig::telemetry_capacity`] is 0 or no flush has happened
-    /// yet).
-    pub fn telemetry(&self) -> Vec<TelemetrySample> {
-        self.telemetry.samples()
-    }
-
     /// Records one time-series sample at the current tick, then advances
     /// the tick clock. Called from the `Flush` request arm — the driver's
     /// deterministic tick boundary — never from a timer.
@@ -395,10 +387,10 @@ impl Engine {
         if !self.telemetry.is_enabled() {
             return;
         }
-        // `stats()` fences on the shard locks before snapshotting, so the
+        // `counters()` fences on the shard locks before snapshotting, so the
         // sample always reads the post-batch cache sizes — which keeps the
         // ring deterministic across backends.
-        let snapshot = self.stats();
+        let snapshot = self.counters();
         self.telemetry.push(TelemetrySample {
             tick: self.ticks - 1,
             requests: snapshot.requests,
@@ -455,9 +447,6 @@ impl Engine {
                 self.import_session(*export),
             )),
             EngineRequest::Describe => Ok(EngineResponse::Description(self.describe())),
-            EngineRequest::QueryMetrics => Ok(EngineResponse::Metrics(self.stats().metrics())),
-            EngineRequest::QueryTelemetry => Ok(EngineResponse::Telemetry(self.telemetry())),
-            EngineRequest::QueryProfile => Ok(EngineResponse::Profile(Box::new(self.profile()))),
             EngineRequest::SnapshotSession(session) => self
                 .snapshot_session(session)
                 .map(|export| EngineResponse::SessionExported(Box::new(export))),
@@ -1600,14 +1589,14 @@ mod tests {
     fn telemetry_samples_on_flush_requests_with_monotone_ticks() {
         let mut engine = engine();
         let id = create(&mut engine);
-        assert!(engine.telemetry().is_empty(), "no tick yet");
+        assert!(engine.stats().telemetry.is_empty(), "no tick yet");
         for _ in 0..3 {
             engine
                 .submit_event(id, SessionEvent::RetuneLambda(0.3))
                 .unwrap();
             engine.handle(EngineRequest::Flush).unwrap();
         }
-        let samples = engine.telemetry();
+        let samples = engine.stats().telemetry;
         assert_eq!(samples.len(), 3);
         let ticks: Vec<u64> = samples.iter().map(|s| s.tick).collect();
         assert_eq!(ticks, vec![0, 1, 2], "ticks are the flush count");
@@ -1623,7 +1612,7 @@ mod tests {
         );
         // Direct flush() calls (auto-flush path) are not tick boundaries.
         engine.flush();
-        assert_eq!(engine.telemetry().len(), 3);
+        assert_eq!(engine.stats().telemetry.len(), 3);
     }
 
     #[test]
@@ -1632,11 +1621,14 @@ mod tests {
         create(&mut engine);
         engine.handle(EngineRequest::Flush).unwrap();
         engine.handle(EngineRequest::Flush).unwrap();
-        assert_eq!(engine.telemetry().len(), 2);
+        assert_eq!(engine.stats().telemetry.len(), 2);
         engine.handle(EngineRequest::ResetStats).unwrap();
-        assert!(engine.telemetry().is_empty(), "warmup samples discarded");
+        assert!(
+            engine.stats().telemetry.is_empty(),
+            "warmup samples discarded"
+        );
         engine.handle(EngineRequest::Flush).unwrap();
-        let samples = engine.telemetry();
+        let samples = engine.stats().telemetry;
         assert_eq!(samples.len(), 1);
         assert_eq!(samples[0].tick, 0, "tick clock restarts at the boundary");
     }
@@ -1651,13 +1643,11 @@ mod tests {
         });
         create(&mut engine);
         engine.handle(EngineRequest::Flush).unwrap();
-        assert!(engine.telemetry().is_empty());
-        let EngineResponse::Telemetry(samples) =
-            engine.handle(EngineRequest::QueryTelemetry).unwrap()
+        let EngineResponse::Stats(snapshot) = engine.handle(EngineRequest::QueryStats).unwrap()
         else {
             panic!("wrong response variant");
         };
-        assert!(samples.is_empty());
+        assert!(snapshot.telemetry.is_empty());
     }
 
     #[test]

@@ -34,10 +34,11 @@
 //!   sessions hash to fixed shards, each flush runs one pipeline job per
 //!   busy shard against shard-owned caches;
 //! * [`stats`] — engine counters: requests, cache hit rate, solve latencies,
-//!   utility-vs-LP-bound gap;
+//!   utility-vs-LP-bound gap. [`StatsSnapshot`] is the one read of engine
+//!   state: counters, the solve ledger, the telemetry ring and the span
+//!   sections, all answered by the single `QueryStats` request;
 //! * [`profile`] — the per-template cost-attribution [`SolveLedger`]
-//!   (warm/cold solve accounting with miss causes) and the
-//!   [`EngineProfile`] served by the `QueryProfile` wire request;
+//!   (warm/cold solve accounting with miss causes);
 //! * [`transport`] — the [`EngineTransport`] trait the load drivers and the
 //!   cluster router program against, implemented by [`Engine`] (a function
 //!   call) and by `svgic-net`'s TCP client (a wire round trip);
@@ -95,7 +96,7 @@ pub use codec::{decode_request, decode_response, encode_request, encode_response
 pub use engine::{Engine, EngineConfig};
 pub use mem::{events_bytes, factors_bytes, instance_bytes, session_footprint, SessionFootprint};
 pub use policy::{LpStart, PolicyInputs, ResolveDecision, ResolveKind, ResolvePolicy};
-pub use profile::{EngineProfile, ProfileEntry, SolveLedger};
+pub use profile::{ProfileEntry, SolveLedger};
 pub use session::{Served, SessionExport};
 pub use stats::{EngineStats, ShardSnapshot, StatsSnapshot, DEFAULT_SLO};
 pub use transport::EngineTransport;
@@ -115,7 +116,7 @@ pub mod prelude {
     };
     pub use crate::engine::{Engine, EngineConfig};
     pub use crate::policy::{LpStart, ResolveKind, ResolvePolicy};
-    pub use crate::profile::{EngineProfile, ProfileEntry};
+    pub use crate::profile::ProfileEntry;
     pub use crate::stats::StatsSnapshot;
     pub use crate::transport::EngineTransport;
 }

@@ -19,8 +19,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use svgic_obs::{PhaseAggregate, RequestWaterfall};
-
 /// Hard cap on the seen-fingerprint recall sets, independent of the entry
 /// capacity. Past it new fingerprints stop being remembered (deterministic
 /// drop-new policy) and previously-unseen misses classify as
@@ -181,24 +179,6 @@ impl SolveLedger {
         self.seen_factors.clear();
         self.seen_templates.clear();
     }
-}
-
-/// The full profile served by the `QueryProfile` wire request: the ledger
-/// plus the critical-path view assembled from the flight recorder. The span
-/// sections (`phases`, `waterfalls`, `collapsed`) are empty when tracing is
-/// disabled; the ledger sections are empty when `profile_capacity` is `0`.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct EngineProfile {
-    /// Per-template ledger entries, ascending by template fingerprint.
-    pub entries: Vec<ProfileEntry>,
-    /// Solves the ledger could not attribute (capacity overflow).
-    pub dropped: u64,
-    /// Per-phase span aggregates in pipeline order.
-    pub phases: Vec<PhaseAggregate>,
-    /// The top-K-slowest reconstructed request waterfalls.
-    pub waterfalls: Vec<RequestWaterfall>,
-    /// Collapsed-stack (folded flamegraph) export of the recorded spans.
-    pub collapsed: String,
 }
 
 #[cfg(test)]

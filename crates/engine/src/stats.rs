@@ -9,7 +9,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use svgic_obs::{
-    AtomicHistogram, Health, HealthPolicy, HistogramSnapshot, MetricsRegistry, SloObjective,
+    AtomicHistogram, Health, HealthPolicy, HistogramSnapshot, MetricsRegistry, PhaseAggregate,
+    RequestWaterfall, SloObjective, TelemetrySample,
 };
 
 /// Default per-request-class latency objectives: `(class, objective)` for
@@ -383,6 +384,10 @@ impl EngineStats {
             mem_session_bytes: load(&self.mem_session_bytes),
             mem_pending_bytes: load(&self.mem_pending_bytes),
             mem_served_bytes: load(&self.mem_served_bytes),
+            telemetry: Vec::new(),
+            phases: Vec::new(),
+            waterfalls: Vec::new(),
+            collapsed: String::new(),
         }
     }
 }
@@ -485,6 +490,19 @@ pub struct StatsSnapshot {
     pub mem_pending_bytes: u64,
     /// Bytes held by served solutions right now (gauge).
     pub mem_served_bytes: u64,
+    /// The engine's per-tick telemetry ring, oldest sample first (populated
+    /// by `Engine::stats`; empty when sampling is off). Node-local:
+    /// [`StatsSnapshot::merge`] leaves the receiver's ring untouched.
+    pub telemetry: Vec<TelemetrySample>,
+    /// Per-phase span aggregates in pipeline order, folded from the flight
+    /// recorder (empty while tracing is off). Node-local, like `telemetry`.
+    pub phases: Vec<PhaseAggregate>,
+    /// The top-K-slowest reconstructed request waterfalls (empty while
+    /// tracing is off). Node-local, like `telemetry`.
+    pub waterfalls: Vec<RequestWaterfall>,
+    /// Collapsed-stack (folded flamegraph) export of the recorded spans
+    /// (empty while tracing is off). Node-local, like `telemetry`.
+    pub collapsed: String,
 }
 
 impl StatsSnapshot {
@@ -500,11 +518,13 @@ impl StatsSnapshot {
     }
 
     /// Folds another snapshot into this one: counters and durations add,
-    /// high-water marks take the max, and the per-shard vectors add
-    /// element-wise (padded with zeros when lengths differ). This is how a
-    /// cluster aggregates per-node engine snapshots into one fleet view;
-    /// derived rates stay consistent because they are recomputed from the
-    /// merged raw counters.
+    /// high-water marks take the max, the per-shard vectors add element-wise
+    /// (padded with zeros when lengths differ) and the solve ledgers merge
+    /// by template. This is how a cluster aggregates per-node engine
+    /// snapshots into one fleet view; derived rates stay consistent because
+    /// they are recomputed from the merged raw counters. The node-local
+    /// telemetry ring and span sections do not merge: the receiver keeps its
+    /// own.
     pub fn merge(&mut self, other: &StatsSnapshot) {
         self.requests += other.requests;
         self.sessions_created += other.sessions_created;
@@ -654,24 +674,20 @@ impl StatsSnapshot {
         mean_of(&self.round_latency)
     }
 
-    /// Shard busy-time imbalance: the busiest shard's busy-nanos over the
-    /// mean across shards. `1.0` is a perfectly even spread, `shards` is
-    /// everything on one shard, `0.0` when no shard did any work — so the
-    /// sharded-dispatch skew is visible per run without eyeballing the
+    /// Shard imbalance: the busiest shard's solve count over the mean
+    /// across shards. `1.0` is a perfectly even spread, `shards` is
+    /// everything on one shard, `0.0` when no shard solved anything. It
+    /// counts work units, not wall-clock time, so it is deterministic under
+    /// a fixed seed; per-shard busy time stays visible as the
     /// `shard<i>_busy_seconds` series.
     pub fn shard_imbalance(&self) -> f64 {
-        let busy: Vec<u64> = self
-            .shards
-            .iter()
-            .map(|s| s.busy_time.as_nanos().min(u64::MAX as u128) as u64)
-            .collect();
-        let total: u64 = busy.iter().sum();
-        if busy.is_empty() || total == 0 {
+        let solves = self.shards.iter().map(|s| s.solves);
+        let total: u64 = solves.clone().sum();
+        if total == 0 {
             return 0.0;
         }
-        let max = *busy.iter().max().expect("non-empty") as f64;
-        let mean = total as f64 / busy.len() as f64;
-        max / mean
+        let max = solves.max().unwrap_or(0);
+        max as f64 * self.shards.len() as f64 / total as f64
     }
 
     /// Factor-cache entries held engine-wide right now (sum of the
@@ -733,7 +749,7 @@ impl StatsSnapshot {
 
     /// The whole snapshot — raw counters *and* every derived rate — as an
     /// ordered `(name, value)` list, so reports (the `loadgen` JSON, the
-    /// bench trajectory, the `QueryMetrics` wire response) can serialize it
+    /// bench trajectory, `loadgen metrics`) can serialize it
     /// without re-deriving metrics ad hoc. Assembled through the
     /// [`MetricsRegistry`], the single source of truth for naming and
     /// NaN-guarding. Times are in seconds; rates/fractions are in `[0, 1]`;
@@ -1003,18 +1019,26 @@ mod tests {
         let stats = EngineStats::with_shards(4);
         // No work yet: imbalance is the documented 0, not NaN.
         assert_eq!(stats.snapshot().shard_imbalance(), 0.0);
-        stats.record_shard_busy(0, 3_000);
-        stats.record_shard_busy(1, 1_000);
-        // Shards 2 and 3 idle: mean = 1000, max = 3000.
+        stats.record_shard_dispatch(0, 3);
+        stats.record_shard_dispatch(1, 1);
+        // Shards 2 and 3 idle: mean = 1 solve, max = 3.
         let snap = stats.snapshot();
         assert!((snap.shard_imbalance() - 3.0).abs() < 1e-9);
         let metrics = snap.metrics();
         let get = |name: &str| metrics.iter().find(|(n, _)| *n == name).unwrap().1;
         assert!((get("shard_imbalance") - 3.0).abs() < 1e-9);
+        // Busy time is wall-clock: it stays visible per shard but never
+        // moves the (deterministic) imbalance.
+        stats.record_shard_busy(2, 9_000_000);
+        let skewed = stats.snapshot();
+        assert!((skewed.shard_imbalance() - 3.0).abs() < 1e-9);
+        let metrics = skewed.metrics();
+        let get = |name: &str| metrics.iter().find(|(n, _)| *n == name).unwrap().1;
+        assert!((get("shard2_busy_seconds") - 0.009).abs() < 1e-12);
         // A perfectly even spread reads 1.0.
         let even = EngineStats::with_shards(2);
-        even.record_shard_busy(0, 5_000);
-        even.record_shard_busy(1, 5_000);
+        even.record_shard_dispatch(0, 5);
+        even.record_shard_dispatch(1, 5);
         assert!((even.snapshot().shard_imbalance() - 1.0).abs() < 1e-9);
     }
 
@@ -1164,6 +1188,7 @@ mod tests {
         // `null` in reports and breaks the bench trajectory diff.
         let stats = EngineStats::with_shards(4);
         for shard in 0..4 {
+            stats.record_shard_dispatch(shard, shard as u64 + 1);
             stats.record_shard_busy(shard, 1_000 * (shard as u64 + 1));
         }
         for i in 1..=50 {

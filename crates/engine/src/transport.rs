@@ -48,9 +48,6 @@ fn mismatch(wanted: &'static str, got: &EngineResponse) -> EngineError {
         EngineResponse::SessionExported(_) => "SessionExported",
         EngineResponse::SessionImported(_) => "SessionImported",
         EngineResponse::Description(_) => "Description",
-        EngineResponse::Metrics(_) => "Metrics",
-        EngineResponse::Telemetry(_) => "Telemetry",
-        EngineResponse::Profile(_) => "Profile",
         EngineResponse::StandbyStored => "StandbyStored",
         EngineResponse::StandbyTaken(_) => "StandbyTaken",
         EngineResponse::Crashed => "Crashed",
@@ -133,7 +130,8 @@ pub trait EngineTransport {
         }
     }
 
-    /// Reads a point-in-time snapshot of the engine counters.
+    /// Reads a point-in-time snapshot of the engine: counters, the solve
+    /// ledger, the telemetry ring and the span sections.
     fn stats(&mut self) -> Result<StatsSnapshot, EngineError> {
         match self.request(EngineRequest::QueryStats)? {
             EngineResponse::Stats(snapshot) => Ok(*snapshot),
@@ -171,34 +169,6 @@ pub trait EngineTransport {
         match self.request(EngineRequest::Describe)? {
             EngineResponse::Description(info) => Ok(info),
             other => Err(mismatch("Description", &other)),
-        }
-    }
-
-    /// Scrapes the engine's exported metric series (the remote equivalent of
-    /// `stats().metrics()`, without needing the snapshot codec).
-    fn query_metrics(&mut self) -> Result<Vec<(String, f64)>, EngineError> {
-        match self.request(EngineRequest::QueryMetrics)? {
-            EngineResponse::Metrics(metrics) => Ok(metrics),
-            other => Err(mismatch("Metrics", &other)),
-        }
-    }
-
-    /// Reads the engine's telemetry ring, oldest sample first (empty when
-    /// sampling is disabled or no flush has happened yet).
-    fn query_telemetry(&mut self) -> Result<Vec<svgic_obs::TelemetrySample>, EngineError> {
-        match self.request(EngineRequest::QueryTelemetry)? {
-            EngineResponse::Telemetry(samples) => Ok(samples),
-            other => Err(mismatch("Telemetry", &other)),
-        }
-    }
-
-    /// Reads the engine's profile: the per-template solve ledger plus the
-    /// critical-path view assembled from the flight recorder (span sections
-    /// are empty when tracing is off).
-    fn query_profile(&mut self) -> Result<crate::profile::EngineProfile, EngineError> {
-        match self.request(EngineRequest::QueryProfile)? {
-            EngineResponse::Profile(profile) => Ok(*profile),
-            other => Err(mismatch("Profile", &other)),
         }
     }
 
@@ -287,26 +257,24 @@ mod tests {
         assert_eq!(info.workers, 2);
         assert_eq!(info.sessions, 1);
         assert_eq!(info.pending_events, 0);
-        let metrics = backend.query_metrics().expect("scrapes");
+        let stats = backend.stats().expect("stats");
+        let metrics = stats.metrics();
         assert!(metrics
             .iter()
             .any(|(name, value)| name == "requests" && *value > 0.0));
         assert!(metrics.iter().all(|(_, value)| value.is_finite()));
-        let telemetry = backend.query_telemetry().expect("telemetry");
         assert!(
-            !telemetry.is_empty(),
+            !stats.telemetry.is_empty(),
             "the default engine samples telemetry on every flush"
         );
-        let profile = backend.query_profile().expect("profiles");
         assert!(
-            !profile.entries.is_empty(),
+            !stats.profile.is_empty(),
             "the default engine attributes solves to its template ledger"
         );
         assert!(
-            profile.phases.is_empty() && profile.collapsed.is_empty(),
+            stats.phases.is_empty() && stats.collapsed.is_empty(),
             "span sections stay empty while tracing is off"
         );
-        let stats = backend.stats().expect("stats");
         assert_eq!(stats.sessions_created, 1);
         backend.reset_stats().expect("resets");
         assert_eq!(backend.stats().expect("stats").sessions_created, 0);

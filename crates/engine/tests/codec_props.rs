@@ -26,8 +26,8 @@ use svgic_core::{Configuration, SvgicInstance, SvgicInstanceBuilder};
 use svgic_engine::codec::{decode_request, decode_response, encode_request, encode_response};
 use svgic_engine::prelude::*;
 use svgic_engine::{
-    EngineProfile, Phase, PhaseAggregate, ProfileEntry, RequestWaterfall, Served, SessionExport,
-    SpanRecord, WaterfallSpan,
+    Phase, PhaseAggregate, ProfileEntry, RequestWaterfall, Served, SessionExport, SpanRecord,
+    TelemetrySample, WaterfallSpan,
 };
 use svgic_graph::SocialGraph;
 
@@ -164,9 +164,6 @@ fn random_request(rng: &mut StdRng) -> EngineRequest {
         7 => EngineRequest::ResetStats,
         8 => EngineRequest::ExportSession(SessionId(rng.gen())),
         9 => EngineRequest::ImportSession(Box::new(random_export(rng))),
-        10 => EngineRequest::QueryMetrics,
-        11 => EngineRequest::QueryTelemetry,
-        12 => EngineRequest::QueryProfile,
         _ => EngineRequest::Describe,
     }
 }
@@ -176,59 +173,10 @@ fn random_phase(rng: &mut StdRng) -> Phase {
     Phase::from_index(rng.gen_range(0..Phase::ALL.len()) as u8).expect("index in range")
 }
 
-/// A random profile: ledger entries, phase aggregates, waterfalls and a
-/// collapsed-stack string — the codec does not care that the numbers are
-/// arbitrary, only that they survive the wire bit-exactly.
-fn random_profile(rng: &mut StdRng) -> EngineProfile {
-    EngineProfile {
-        entries: (0..rng.gen_range(0..4))
-            .map(|_| ProfileEntry {
-                template_fingerprint: rng.gen(),
-                warm_solves: rng.gen_range(0..100),
-                cold_solves: rng.gen_range(0..100),
-                warm_nanos: rng.gen(),
-                cold_nanos: rng.gen(),
-                miss_new: rng.gen_range(0..50),
-                miss_evicted: rng.gen_range(0..50),
-                miss_component_changed: rng.gen_range(0..50),
-            })
-            .collect(),
-        dropped: rng.gen_range(0..10),
-        phases: (0..rng.gen_range(0..4))
-            .map(|_| PhaseAggregate {
-                phase: random_phase(rng),
-                count: rng.gen_range(1..1000),
-                total_nanos: rng.gen(),
-                max_nanos: rng.gen(),
-            })
-            .collect(),
-        waterfalls: (0..rng.gen_range(0..3))
-            .map(|_| RequestWaterfall {
-                request_id: rng.gen(),
-                total_nanos: rng.gen(),
-                spans: (0..rng.gen_range(0..4))
-                    .map(|_| WaterfallSpan {
-                        phase: random_phase(rng),
-                        start_nanos: rng.gen(),
-                        duration_nanos: rng.gen(),
-                        shard: if rng.gen::<f64>() < 0.5 {
-                            SpanRecord::NO_SHARD
-                        } else {
-                            rng.gen_range(0..8)
-                        },
-                    })
-                    .collect(),
-            })
-            .collect(),
-        collapsed: if rng.gen::<f64>() < 0.5 {
-            "Serve 100\nServe;ShardDispatch 40\n".to_string()
-        } else {
-            String::new()
-        },
-    }
-}
-
-/// A realistic random stats snapshot: drive a tiny engine, snapshot it.
+/// A realistic random stats snapshot: drive a tiny engine, snapshot it, then
+/// overwrite the ledger, telemetry ring and span sections with arbitrary
+/// values — the codec does not care that the numbers are arbitrary, only
+/// that they survive the wire bit-exactly.
 fn random_stats(rng: &mut StdRng) -> StatsSnapshot {
     let mut engine = Engine::new(EngineConfig {
         workers: 1,
@@ -250,7 +198,67 @@ fn random_stats(rng: &mut StdRng) -> StatsSnapshot {
         )
         .expect("submits");
     engine.flush();
-    engine.stats()
+    let mut snapshot = engine.stats();
+    snapshot.profile = (0..rng.gen_range(0..4))
+        .map(|_| ProfileEntry {
+            template_fingerprint: rng.gen(),
+            warm_solves: rng.gen_range(0..100),
+            cold_solves: rng.gen_range(0..100),
+            warm_nanos: rng.gen(),
+            cold_nanos: rng.gen(),
+            miss_new: rng.gen_range(0..50),
+            miss_evicted: rng.gen_range(0..50),
+            miss_component_changed: rng.gen_range(0..50),
+        })
+        .collect();
+    snapshot.profile_dropped = rng.gen_range(0..10);
+    snapshot.telemetry = (0..rng.gen_range(0..4))
+        .map(|tick| TelemetrySample {
+            tick,
+            requests: rng.gen(),
+            solves: rng.gen(),
+            queue_depth: rng.gen_range(0..100),
+            warm_rate_ppm: rng.gen_range(0..=1_000_000),
+            imbalance_ppm: rng.gen_range(0..4_000_000),
+            mem_session_bytes: rng.gen(),
+            mem_pending_bytes: rng.gen(),
+            mem_served_bytes: rng.gen(),
+            mem_cache_bytes: rng.gen(),
+            mem_total_bytes: rng.gen(),
+        })
+        .collect();
+    snapshot.phases = (0..rng.gen_range(0..4))
+        .map(|_| PhaseAggregate {
+            phase: random_phase(rng),
+            count: rng.gen_range(1..1000),
+            total_nanos: rng.gen(),
+            max_nanos: rng.gen(),
+        })
+        .collect();
+    snapshot.waterfalls = (0..rng.gen_range(0..3))
+        .map(|_| RequestWaterfall {
+            request_id: rng.gen(),
+            total_nanos: rng.gen(),
+            spans: (0..rng.gen_range(0..4))
+                .map(|_| WaterfallSpan {
+                    phase: random_phase(rng),
+                    start_nanos: rng.gen(),
+                    duration_nanos: rng.gen(),
+                    shard: if rng.gen::<f64>() < 0.5 {
+                        SpanRecord::NO_SHARD
+                    } else {
+                        rng.gen_range(0..8)
+                    },
+                })
+                .collect(),
+        })
+        .collect();
+    snapshot.collapsed = if rng.gen::<f64>() < 0.5 {
+        "Serve 100\nServe;ShardDispatch 40\n".to_string()
+    } else {
+        String::new()
+    };
+    snapshot
 }
 
 fn random_response(rng: &mut StdRng) -> Result<EngineResponse, EngineError> {
@@ -264,7 +272,7 @@ fn random_response(rng: &mut StdRng) -> Result<EngineResponse, EngineError> {
         staleness: 1,
         generation: 4,
     };
-    match rng.gen_range(0..13) {
+    match rng.gen_range(0..12) {
         0 => Ok(EngineResponse::SessionCreated(view())),
         1 => Ok(EngineResponse::EventAccepted {
             session: SessionId(rng.gen()),
@@ -289,7 +297,6 @@ fn random_response(rng: &mut StdRng) -> Result<EngineResponse, EngineError> {
             sessions: rng.gen_range(0..100),
             pending_events: rng.gen_range(0..100),
         })),
-        11 => Ok(EngineResponse::Profile(Box::new(random_profile(rng)))),
         _ => Err(EngineError::InvalidEvent("synthetic".into())),
     }
 }
@@ -341,17 +348,18 @@ proptest! {
         let _ = decode_response(&bytes);
     }
 
-    /// The profile payload specifically: round trip is canonical, and
-    /// corrupting any single byte of the encoding either fails to decode
-    /// (e.g. an out-of-range phase index) or re-encodes to exactly the
-    /// corrupted bytes — garbage never decodes to a "repaired" ledger.
+    /// The stats payload with its ledger, ring and span sections filled:
+    /// round trip is canonical, and corrupting any single byte of the
+    /// encoding either fails to decode (e.g. an out-of-range phase index) or
+    /// re-encodes to exactly the corrupted bytes — garbage never decodes to
+    /// a "repaired" profile.
     #[test]
     fn profile_roundtrip_is_canonical_and_rejects_garbage(
         seed in 0u64..1u64 << 48,
         corrupt in 0usize..1 << 20,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let response = Ok(EngineResponse::Profile(Box::new(random_profile(&mut rng))));
+        let response = Ok(EngineResponse::Stats(Box::new(random_stats(&mut rng))));
         let bytes = encode_response(&response);
         let decoded = decode_response(&bytes);
         prop_assert!(decoded.is_ok(), "decode failed: {:?}", decoded.err());

@@ -154,7 +154,8 @@ impl NetServer {
         self.addr
     }
 
-    /// Blocks until a client shuts the server down.
+    /// Blocks until a client shuts the server down. The shutdown ack has
+    /// been written to the requesting connection by the time this returns.
     pub fn join(self) {
         let _ = self.engine_thread.join();
         let _ = self.acceptor.join();
@@ -218,17 +219,25 @@ fn serve_connection(
                 }
             },
             FrameKind::Shutdown => {
-                stopping.store(true, Ordering::SeqCst);
-                let _ = job_tx.send(Job::Shutdown);
-                // Ack the shutdown, then poke the acceptor loose from
-                // its blocking accept with a throwaway connection.
+                // Flush the ack before the engine thread stops:
+                // `NetServer::join` returns as soon as it does, and a
+                // process that exits right after must not take an unsent
+                // ack with it. The writer drains once every reply sender
+                // is gone (queued jobs hold clones until the engine
+                // answers them).
                 let _ = conn_tx.send(Frame {
                     kind: FrameKind::Shutdown,
                     request_id: frame.request_id,
                     payload: Vec::new(),
                 });
+                drop(conn_tx);
+                let _ = writer.join();
+                stopping.store(true, Ordering::SeqCst);
+                let _ = job_tx.send(Job::Shutdown);
+                // Poke the acceptor loose from its blocking accept with a
+                // throwaway connection.
                 let _ = TcpStream::connect(server_addr);
-                break;
+                return;
             }
             // A server never receives response frames; the stream is
             // confused — drop it.

@@ -8,7 +8,7 @@
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -376,4 +376,29 @@ fn client_death_leaves_server_consistent() {
     assert_eq!(info.sessions, 1, "session survives its client");
     client.shutdown_server().expect("shuts down");
     server.join();
+}
+
+/// Every shutdown is acknowledged before `join` returns, even while another
+/// thread keeps a core busy and the server's writer threads compete for CPU.
+#[test]
+fn shutdown_is_acknowledged_under_cpu_pressure() {
+    let stop = Arc::new(AtomicBool::new(false));
+    let spinner = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut x = 1u64;
+            while !stop.load(Ordering::Relaxed) {
+                x = std::hint::black_box(x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1));
+            }
+        })
+    };
+    for cycle in 0..300 {
+        let server = NetServer::bind("127.0.0.1:0", test_engine()).expect("binds");
+        let client = NetClient::connect(server.local_addr()).expect("connects");
+        let acked = client.shutdown_server();
+        server.join();
+        assert!(acked.is_ok(), "cycle {cycle}: {acked:?}");
+    }
+    stop.store(true, Ordering::Relaxed);
+    spinner.join().expect("spinner exits");
 }

@@ -26,16 +26,16 @@
 //!   ([`assemble_waterfalls`]) and the flamegraph-compatible collapsed-stack
 //!   export ([`collapsed_stacks`]) behind `loadgen profile`;
 //! * [`registry`] — the [`MetricsRegistry`] builder that renders counters,
-//!   gauges and histograms into the ordered name/value list served by
-//!   `StatsSnapshot::metrics()` and the `QueryMetrics` wire request;
+//!   gauges and histograms into the ordered name/value list rendered by
+//!   `StatsSnapshot::metrics()` (behind `loadgen metrics`);
 //! * [`chrome`] — the Chrome trace-event JSON exporter
 //!   ([`chrome_trace_json`]) behind `loadgen --trace-out`, loadable in
 //!   `chrome://tracing` and Perfetto, plus the counter-event variant
 //!   ([`chrome_trace_json_with_counters`]) that overlays the telemetry
 //!   ring;
 //! * [`telemetry`] — the fixed-capacity [`TelemetryRing`] of per-tick
-//!   [`TelemetrySample`] rows behind the `time_series` report arrays and
-//!   the `QueryTelemetry` wire request;
+//!   [`TelemetrySample`] rows behind the `time_series` report arrays,
+//!   carried in the engine's `StatsSnapshot`;
 //! * [`slo`] — latency objectives ([`SloObjective`]), error-budget burn,
 //!   and the [`HealthPolicy`] that folds burn + memory pressure into the
 //!   per-node [`Health`] state;

@@ -1,7 +1,7 @@
 //! The metrics registry: one ordered builder for every exported series.
 //!
-//! `StatsSnapshot::metrics()`, the `QueryMetrics` wire response and the JSON
-//! reports all serve the same list of `(name, value)` pairs; this builder is
+//! `StatsSnapshot::metrics()`, `loadgen metrics` and the JSON reports all
+//! serve the same list of `(name, value)` pairs; this builder is
 //! the single place that list is assembled, so the naming conventions
 //! (counts as exact floats, times in seconds, rates NaN-guarded to `0.0`)
 //! cannot drift between exporters.

@@ -75,19 +75,19 @@ fn run_serve(args: &Args) -> Result<(), String> {
 }
 
 /// `loadgen metrics --connect host:port[,…]`: scrape each live server's
-/// metrics registry (one `QueryMetrics` frame per node) and print one flat
-/// JSON object per node, in address order — one `"name": value` member per
-/// metric in the registry's pinned order. The scrape goes through
-/// [`svgic_engine::EngineTransport::query_metrics`], so it exercises the
-/// same wire path remote dashboards would.
+/// metrics registry (one `QueryStats` frame per node, rendered by
+/// `StatsSnapshot::metrics`) and print one flat JSON object per node, in
+/// address order — one `"name": value` member per metric in the registry's
+/// pinned order.
 fn run_metrics(args: &Args) -> Result<(), String> {
     use svgic_engine::EngineTransport;
     let mut out = String::new();
     for addr in &args.connect {
         let mut client = NetClient::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
         let metrics = client
-            .query_metrics()
-            .map_err(|e| format!("query metrics from {addr}: {e}"))?;
+            .stats()
+            .map_err(|e| format!("query stats from {addr}: {e}"))?
+            .metrics();
         // Keys are ident-safe ASCII and values finite by the registry
         // contract, so plain Display formatting yields valid JSON.
         if !out.is_empty() {
@@ -121,21 +121,17 @@ fn human_nanos(nanos: u64) -> String {
     }
 }
 
-/// `loadgen profile --connect host:port[,…]`: fetch each node's profile (one
-/// `QueryProfile` frame per node, plus a `QueryStats` frame for the
-/// queue-wait histogram) and print, per node: the per-phase span breakdown,
-/// the queue-wait decomposition, the per-template solve ledger with miss
-/// causes, the top-K-slowest request waterfalls, and a collapsed-stack
-/// (flamegraph folded) export. The span sections need the server to run with
+/// `loadgen profile --connect host:port[,…]`: fetch each node's snapshot
+/// (one `QueryStats` frame per node) and print, per node: the per-phase span
+/// breakdown, the queue-wait decomposition, the per-template solve ledger
+/// with miss causes, the top-K-slowest request waterfalls, and a
+/// collapsed-stack (flamegraph folded) export. The span sections need the server to run with
 /// `loadgen serve --obs`; the ledger and queue-wait sections are always on.
 fn run_profile(args: &Args) -> Result<(), String> {
     use svgic_engine::EngineTransport;
     let mut out = String::new();
     for addr in &args.connect {
         let mut client = NetClient::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-        let profile = client
-            .query_profile()
-            .map_err(|e| format!("query profile from {addr}: {e}"))?;
         let stats = client
             .stats()
             .map_err(|e| format!("query stats from {addr}: {e}"))?;
@@ -154,7 +150,7 @@ fn run_profile(args: &Args) -> Result<(), String> {
             human_nanos(qw.max_nanos()),
         ));
 
-        if profile.phases.is_empty() {
+        if stats.phases.is_empty() {
             out.push_str(
                 "  phases: no spans recorded (serve with `loadgen serve --obs` to trace)\n",
             );
@@ -164,7 +160,7 @@ fn run_profile(args: &Args) -> Result<(), String> {
                 "    {:<14} {:>8} {:>10} {:>10} {:>10}\n",
                 "PHASE", "COUNT", "TOTAL", "MEAN", "MAX"
             ));
-            for agg in &profile.phases {
+            for agg in &stats.phases {
                 out.push_str(&format!(
                     "    {:<14} {:>8} {:>10} {:>10} {:>10}\n",
                     agg.phase.name(),
@@ -176,12 +172,12 @@ fn run_profile(args: &Args) -> Result<(), String> {
             }
         }
 
-        if profile.entries.is_empty() {
+        if stats.profile.is_empty() {
             out.push_str("  ledger: empty (no solves attributed yet)\n");
         } else {
             // Rank by cold nanoseconds — the cost the profile exists to
             // attribute — with the fingerprint as a deterministic tiebreak.
-            let mut ranked: Vec<_> = profile.entries.iter().collect();
+            let mut ranked: Vec<_> = stats.profile.iter().collect();
             ranked.sort_by(|a, b| {
                 b.cold_nanos
                     .cmp(&a.cold_nanos)
@@ -189,8 +185,8 @@ fn run_profile(args: &Args) -> Result<(), String> {
             });
             out.push_str(&format!(
                 "  ledger ({} templates, {} unattributed):\n",
-                profile.entries.len(),
-                profile.dropped,
+                stats.profile.len(),
+                stats.profile_dropped,
             ));
             out.push_str(&format!(
                 "    {:<18} {:>7} {:>6} {:>6} {:>10} {:>10} {:>5} {:>8} {:>10}\n",
@@ -220,12 +216,12 @@ fn run_profile(args: &Args) -> Result<(), String> {
             }
         }
 
-        if !profile.waterfalls.is_empty() {
+        if !stats.waterfalls.is_empty() {
             out.push_str(&format!(
                 "  waterfalls (top {} slowest requests):\n",
-                profile.waterfalls.len()
+                stats.waterfalls.len()
             ));
-            for wf in &profile.waterfalls {
+            for wf in &stats.waterfalls {
                 out.push_str(&format!(
                     "    request {} — {}\n",
                     wf.request_id,
@@ -248,9 +244,9 @@ fn run_profile(args: &Args) -> Result<(), String> {
             }
         }
 
-        if !profile.collapsed.is_empty() {
+        if !stats.collapsed.is_empty() {
             out.push_str("  collapsed stacks (flamegraph folded format):\n");
-            for line in profile.collapsed.lines() {
+            for line in stats.collapsed.lines() {
                 out.push_str(line);
                 out.push('\n');
             }
@@ -274,7 +270,7 @@ struct WatchRow {
     mem_bytes: u64,
 }
 
-/// Pulls one watch row out of a `QueryMetrics` scrape, computing the
+/// Pulls one watch row out of a metrics scrape, computing the
 /// request rate from the previous poll's counter when there is one.
 fn watch_row(metrics: &[(String, f64)], previous: Option<(u64, std::time::Instant)>) -> WatchRow {
     let get = |name: &str| {
@@ -337,8 +333,9 @@ fn run_watch(args: &Args) -> Result<(), String> {
         let mut rows = Vec::new();
         for (addr, client, previous) in &mut nodes {
             let metrics = client
-                .query_metrics()
-                .map_err(|e| format!("query metrics from {addr}: {e}"))?;
+                .stats()
+                .map_err(|e| format!("query stats from {addr}: {e}"))?
+                .metrics();
             let row = watch_row(&metrics, *previous);
             // lint: allow(wall-clock, live watch display computes a req/s rate; nothing else reads it)
             *previous = Some((row.requests, std::time::Instant::now()));
@@ -652,7 +649,12 @@ fn run_drive(args: &Args) -> Result<(), String> {
         report.trace_path = recorded_path.clone();
         print_single_summary(args, &report, &recorded_path, ", over TCP");
         if let (Some(path), Some(tracer)) = (&args.trace_out, &tracer) {
-            write_trace(args, path, &tracer.spans(), &report.outcome.telemetry)?;
+            write_trace(
+                args,
+                path,
+                &tracer.spans(),
+                &report.outcome.engine.telemetry,
+            )?;
         }
         report.to_json()
     } else if args.nodes >= 1 {
@@ -697,7 +699,7 @@ fn run_drive(args: &Args) -> Result<(), String> {
         report.trace_path = recorded_path.clone();
         print_single_summary(args, &report, &recorded_path, "");
         if let (Some(path), Some(spans)) = (&args.trace_out, &spans) {
-            write_trace(args, path, spans, &report.outcome.telemetry)?;
+            write_trace(args, path, spans, &report.outcome.engine.telemetry)?;
         }
         debug_assert!(report.to_json().contains(REPORT_SCHEMA));
         report.to_json()

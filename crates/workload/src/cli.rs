@@ -24,14 +24,14 @@ pub struct Args {
     /// driving load.
     pub serve: bool,
     /// `loadgen metrics --connect host:port[,…]`: scrape each serving
-    /// node's metric series (a `QueryMetrics` wire exchange per node) and
+    /// node's metric series (a `QueryStats` wire exchange per node) and
     /// print one JSON object per node.
     pub metrics: bool,
     /// `loadgen watch --connect host:port[,…]`: poll every node's metrics
     /// into a redrawing terminal table (rps, p99 by phase, memory, health).
     pub watch: bool,
     /// `loadgen profile --connect host:port[,…]`: fetch each node's profile
-    /// (a `QueryProfile` wire exchange per node) and print the phase
+    /// (a `QueryStats` wire exchange per node) and print the phase
     /// breakdown, per-template solve ledger and collapsed-stack export.
     pub profile: bool,
     /// (serve mode) Enable the engine's flight recorder, so server-side
@@ -560,13 +560,13 @@ pub fn usage() -> String {
          \x20   serve               run a svgic-net wire-protocol server fronting one\n\
          \x20                       engine (blocks until a client sends shutdown)\n\
          \x20   metrics             scrape each serving node's metric series over the\n\
-         \x20                       wire (QueryMetrics) and print one JSON object per\n\
+         \x20                       wire (QueryStats) and print one JSON object per\n\
          \x20                       node, in address order\n\
          \x20   watch               poll every node's metrics into a redrawing fleet\n\
          \x20                       table: rps, p99 by phase, accounted memory, and\n\
          \x20                       SLO health per node (--once prints one table)\n\
          \x20   profile             fetch every node's profile over the wire\n\
-         \x20                       (QueryProfile): phase breakdown, per-template\n\
+         \x20                       (QueryStats): phase breakdown, per-template\n\
          \x20                       solve ledger with miss causes, and a collapsed-\n\
          \x20                       stack (flamegraph) export. Serve with --obs for\n\
          \x20                       span-based waterfalls.\n\

@@ -46,7 +46,7 @@ use svgic_core::extensions::DynamicEvent;
 use svgic_core::SvgicInstance;
 use svgic_engine::fingerprint::Fnv;
 use svgic_engine::prelude::*;
-use svgic_engine::{CreateSession, Health, TelemetrySample};
+use svgic_engine::{CreateSession, Health};
 
 use crate::driver::{digest_view, DriveMode, LatencyBreakdown, QualityUnderLoad};
 use crate::trace::{Trace, TraceEvent};
@@ -240,12 +240,10 @@ pub struct NodeOutcome {
     pub busy_seconds: f64,
     /// Live sessions at the end of the run (0 for dead nodes).
     pub sessions: u64,
-    /// The node engine's counters — final for alive nodes, last-observed
-    /// (at the preceding tick boundary) for killed ones.
+    /// The node engine's snapshot, per-tick telemetry ring included —
+    /// final for alive nodes, last-observed (just before the kill) for
+    /// killed ones.
     pub engine: StatsSnapshot,
-    /// The node's per-tick telemetry ring, oldest first (empty for killed
-    /// nodes — their ring died with the engine — and for capacity-0 nodes).
-    pub telemetry: Vec<TelemetrySample>,
 }
 
 impl NodeOutcome {
@@ -604,7 +602,6 @@ impl ClusterDriver {
                 busy_seconds: ledger.busy.get(&node.node.0).copied().unwrap_or(0.0),
                 sessions: node.sessions,
                 engine: node.engine.clone(),
-                telemetry: node.telemetry.clone(),
             })
             .collect();
         for &dead in &ledger.dead {
@@ -618,7 +615,6 @@ impl ClusterDriver {
                     .get(&dead)
                     .cloned()
                     .unwrap_or_else(|| svgic_engine::EngineStats::default().snapshot()),
-                telemetry: Vec::new(),
             });
         }
         per_node.sort_by_key(|n| n.node.0);
@@ -815,14 +811,20 @@ mod tests {
         // Every alive node sampled its ring at each tick flush: non-empty,
         // ticks strictly monotone, and the mem gauges track live state.
         for node in &four.per_node {
-            assert!(!node.telemetry.is_empty(), "node {:?}", node.node);
-            assert!(node.telemetry.windows(2).all(|w| w[0].tick < w[1].tick));
+            assert!(!node.engine.telemetry.is_empty(), "node {:?}", node.node);
+            assert!(node
+                .engine
+                .telemetry
+                .windows(2)
+                .all(|w| w[0].tick < w[1].tick));
             assert_eq!(node.health(), Health::Ok);
         }
         assert!(
-            four.per_node
+            four.per_node.iter().any(|n| n
+                .engine
+                .telemetry
                 .iter()
-                .any(|n| n.telemetry.iter().any(|s| s.mem_session_bytes > 0)),
+                .any(|s| s.mem_session_bytes > 0)),
             "some node held live sessions when a tick sampled"
         );
         // The fleet view sums the per-node engines.

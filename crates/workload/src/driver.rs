@@ -24,9 +24,9 @@ use svgic_core::extensions::DynamicEvent;
 use svgic_core::SvgicInstance;
 use svgic_engine::fingerprint::Fnv;
 use svgic_engine::prelude::*;
-use svgic_engine::{CreateSession, TelemetrySample};
+use svgic_engine::CreateSession;
+use svgic_obs::LatencyHistogram;
 
-use crate::histogram::LatencyHistogram;
 use crate::trace::{Trace, TraceEvent};
 
 /// How the driver paces the engine.
@@ -172,13 +172,12 @@ pub struct LoadOutcome {
     pub quality: QualityUnderLoad,
     /// Deterministic digest over every query response (and the final sweep).
     pub config_digest: u64,
-    /// Engine counters at the end of the run.
+    /// The engine's snapshot at the end of the run: counters, solve ledger
+    /// and the per-tick telemetry ring (`engine.telemetry`, empty when the
+    /// engine samples with capacity 0). With warmup, the ring restarts at the
+    /// boundary along with the counters, so the series covers the measured
+    /// window only.
     pub engine: StatsSnapshot,
-    /// The engine's per-tick telemetry ring at the end of the run, oldest
-    /// sample first (empty when the engine samples with capacity 0). With
-    /// warmup, the ring restarts at the boundary along with the counters, so
-    /// the series covers the measured window only.
-    pub telemetry: Vec<TelemetrySample>,
 }
 
 impl LoadOutcome {
@@ -393,7 +392,6 @@ impl LoadDriver {
             quality,
             config_digest: digest.finish(),
             engine: engine.stats().expect("backend reports stats"),
-            telemetry: engine.query_telemetry().expect("backend reports telemetry"),
         }
     }
 
@@ -468,10 +466,13 @@ mod tests {
         assert_eq!(a.engine.sessions_created, a.engine.sessions_closed);
         // The default engine samples its telemetry ring on every driver
         // flush: one sample per tick plus the final sweep, ticks monotone.
-        assert!(!a.telemetry.is_empty());
-        assert!(a.telemetry.windows(2).all(|w| w[0].tick < w[1].tick));
-        assert_eq!(a.telemetry, b.telemetry, "telemetry is deterministic");
-        assert!(a.telemetry.iter().any(|s| s.requests > 0));
+        assert!(!a.engine.telemetry.is_empty());
+        assert!(a.engine.telemetry.windows(2).all(|w| w[0].tick < w[1].tick));
+        assert_eq!(
+            a.engine.telemetry, b.engine.telemetry,
+            "telemetry is deterministic"
+        );
+        assert!(a.engine.telemetry.iter().any(|s| s.requests > 0));
     }
 
     #[test]

@@ -14,10 +14,10 @@
 use std::time::Duration;
 
 use svgic_engine::TelemetrySample;
+use svgic_obs::LatencyHistogram;
 
 use crate::cluster_driver::ClusterLoadOutcome;
 use crate::driver::{LoadOutcome, QualityUnderLoad};
-use crate::histogram::LatencyHistogram;
 use crate::trace::Trace;
 
 /// Schema tag embedded in every single-engine report.
@@ -101,7 +101,7 @@ impl LoadReport {
             }
         });
 
-        write_time_series(&mut w, &self.outcome.telemetry);
+        write_time_series(&mut w, &self.outcome.engine.telemetry);
 
         write_profile(
             &mut w,
@@ -244,7 +244,7 @@ impl ClusterReport {
                     // accounted bytes, and the node's own tick series.
                     w.string("health", node.health().name());
                     w.integer("mem_bytes", node.mem_bytes());
-                    write_time_series(w, &node.telemetry);
+                    write_time_series(w, &node.engine.telemetry);
                 });
             }
         });
@@ -556,7 +556,7 @@ mod tests {
     #[test]
     fn empty_time_series_renders_as_an_empty_array() {
         let mut report = sample_report();
-        report.outcome.telemetry.clear();
+        report.outcome.engine.telemetry.clear();
         let json = report.to_json();
         assert!(
             json.contains("\"time_series\": []"),

@@ -4,11 +4,10 @@
 //! cargo run --release --example format_blobs
 //! ```
 //!
-//! Prints nine sections — the `svgic-trace v1` example, a
+//! Prints six sections — the `svgic-trace v1` example, a
 //! `svgic-loadgen-report/v1` JSON, a `svgic-cluster-report/v1` JSON, the
-//! wire-frame hex dump, the `QueryMetrics`, `QueryTelemetry` and
-//! `QueryProfile` frame hexes, the Chrome trace-event JSON and its
-//! counter-event variant —
+//! wire-frame hex dump, the Chrome trace-event JSON and its counter-event
+//! variant —
 //! using the same pinned configuration
 //! (`workers: 2, shards: 2`, steady-mall smoke at 2 ticks, seed 3; cluster:
 //! 2 nodes with a mid-run rebalance; trace events: a fixed three-span list)
@@ -191,18 +190,6 @@ fn main() {
     let payload =
         svgic::engine::codec::encode_request(&EngineRequest::QueryConfiguration(SessionId(7)));
     println!("{}", frame_hex(svgic::net::FrameKind::Request, 1, payload));
-
-    println!("\n=== wire frame (QueryMetrics, request id 2) ===");
-    let payload = svgic::engine::codec::encode_request(&EngineRequest::QueryMetrics);
-    println!("{}", frame_hex(svgic::net::FrameKind::Request, 2, payload));
-
-    println!("\n=== wire frame (QueryTelemetry, request id 3) ===");
-    let payload = svgic::engine::codec::encode_request(&EngineRequest::QueryTelemetry);
-    println!("{}", frame_hex(svgic::net::FrameKind::Request, 3, payload));
-
-    println!("\n=== wire frame (QueryProfile, request id 4) ===");
-    let payload = svgic::engine::codec::encode_request(&EngineRequest::QueryProfile);
-    println!("{}", frame_hex(svgic::net::FrameKind::Request, 4, payload));
 
     println!("\n=== chrome trace events (pinned three-span example) ===");
     println!("{}", chrome_trace_json(&pinned_spans()));

@@ -290,54 +290,6 @@ fn frame_hex_decodes_to_the_documented_frame() {
     assert_eq!(reencoded, bytes);
 }
 
-#[test]
-fn metrics_frame_hex_decodes_to_a_query_metrics_request() {
-    let (frame, bytes) = frame_from_hex(&blob("metrics-frame-hex"));
-    assert_eq!(frame.kind, FrameKind::Request);
-    assert_eq!(frame.request_id, 2);
-    let request =
-        svgic::engine::codec::decode_request(&frame.payload).expect("spec payload decodes");
-    assert!(
-        matches!(request, EngineRequest::QueryMetrics),
-        "spec frame documents QueryMetrics, decodes {request:?}"
-    );
-    let mut reencoded = Vec::new();
-    write_frame(&mut reencoded, &frame).expect("in-memory write");
-    assert_eq!(reencoded, bytes);
-}
-
-#[test]
-fn telemetry_frame_hex_decodes_to_a_query_telemetry_request() {
-    let (frame, bytes) = frame_from_hex(&blob("telemetry-frame-hex"));
-    assert_eq!(frame.kind, FrameKind::Request);
-    assert_eq!(frame.request_id, 3);
-    let request =
-        svgic::engine::codec::decode_request(&frame.payload).expect("spec payload decodes");
-    assert!(
-        matches!(request, EngineRequest::QueryTelemetry),
-        "spec frame documents QueryTelemetry, decodes {request:?}"
-    );
-    let mut reencoded = Vec::new();
-    write_frame(&mut reencoded, &frame).expect("in-memory write");
-    assert_eq!(reencoded, bytes);
-}
-
-#[test]
-fn profile_frame_hex_decodes_to_a_query_profile_request() {
-    let (frame, bytes) = frame_from_hex(&blob("profile-frame-hex"));
-    assert_eq!(frame.kind, FrameKind::Request);
-    assert_eq!(frame.request_id, 4);
-    let request =
-        svgic::engine::codec::decode_request(&frame.payload).expect("spec payload decodes");
-    assert!(
-        matches!(request, EngineRequest::QueryProfile),
-        "spec frame documents QueryProfile, decodes {request:?}"
-    );
-    let mut reencoded = Vec::new();
-    write_frame(&mut reencoded, &frame).expect("in-memory write");
-    assert_eq!(reencoded, bytes);
-}
-
 /// The pinned span list behind the spec's trace-event example (mirrored in
 /// `examples/format_blobs.rs`).
 fn pinned_spans() -> Vec<SpanRecord> {

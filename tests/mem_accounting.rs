@@ -237,14 +237,13 @@ fn cache_gauge_matches_the_factors_it_holds() {
         .expect("session opens");
 
     // The flush tick also samples the telemetry ring; the sample must carry
-    // the same byte gauges the stats snapshot reports — one accounting, two
-    // read paths.
+    // the same byte gauges the stats snapshot reports — one accounting, read
+    // per tick and on demand.
     engine
         .handle(EngineRequest::Flush)
         .expect("flush ticks the sampler");
     let stats = engine.stats();
-    let ring = engine.telemetry();
-    let sample = ring.last().expect("the flush pushed a sample");
+    let sample = stats.telemetry.last().expect("the flush pushed a sample");
     assert_eq!(sample.tick, 0);
     assert_eq!(sample.mem_session_bytes, stats.mem_session_bytes);
     assert_eq!(sample.mem_pending_bytes, stats.mem_pending_bytes);

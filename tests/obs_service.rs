@@ -12,15 +12,16 @@
 //! 3. a real `svgic-net` TCP server whose engine has obs, sampler and
 //!    profiler **off**,
 //! 4. a TCP server with obs, sampler and profiler **on**, scraped by a
-//!    span-recording client that also drains the telemetry ring and the
-//!    profile ledger over the wire.
+//!    span-recording client that also reads the telemetry ring and the
+//!    profile ledger over the wire (one `QueryStats` exchange).
 //!
 //! All four must produce the identical FNV-1a configuration digest and the
 //! identical solve count. A divergence means tracing, sampling or
 //! profiling changed what was served — the one thing an observability
-//! layer must never do. The ledger itself is also cross-checked: its
-//! deterministic fields (fingerprints, solve counts, miss causes) must be
-//! identical in-process and over the wire.
+//! layer must never do. The ring and ledger are also cross-checked: every
+//! telemetry sample, and the ledger's deterministic fields (fingerprints,
+//! solve counts, miss causes), must be identical in-process and over the
+//! wire.
 
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -198,10 +199,10 @@ proptest! {
         let mut engine_off = Engine::new(engine_config(ObsConfig::disabled(), 0, 0));
         let (digest_off, solves_off) = run_script(&mut engine_off, &script);
         prop_assert_eq!(engine_off.tracer().recorded(), 0);
-        prop_assert!(engine_off.telemetry().is_empty(), "capacity 0 disables sampling");
-        let profile_off = engine_off.profile();
-        prop_assert!(profile_off.entries.is_empty(), "capacity 0 disables the ledger");
-        prop_assert_eq!(profile_off.dropped, 0);
+        let stats_off = engine_off.stats();
+        prop_assert!(stats_off.telemetry.is_empty(), "capacity 0 disables sampling");
+        prop_assert!(stats_off.profile.is_empty(), "capacity 0 disables the ledger");
+        prop_assert_eq!(stats_off.profile_dropped, 0);
 
         // 2. In-process, obs, sampler and profiler on: same service, plus a
         // span stream, a populated telemetry ring and a solve ledger.
@@ -215,20 +216,20 @@ proptest! {
             engine_on.tracer().recorded(),
             script.len(),
         );
-        let ring = engine_on.telemetry();
+        let stats_on = engine_on.stats();
+        let ring = &stats_on.telemetry;
         prop_assert!(!ring.is_empty(), "every flush sampled the ring");
         prop_assert!(ring.windows(2).all(|w| w[0].tick < w[1].tick));
-        let ledger = engine_on.profile();
+        let ledger = &stats_on.profile;
         if solves_off > 0 {
-            prop_assert!(!ledger.entries.is_empty(), "solves must be attributed");
+            prop_assert!(!ledger.is_empty(), "solves must be attributed");
         }
         let attributed: u64 = ledger
-            .entries
             .iter()
             .map(|e| e.warm_solves + e.cold_solves)
             .sum();
         prop_assert!(attributed == solves_off, "every solve lands in the ledger");
-        for entry in &ledger.entries {
+        for entry in ledger {
             prop_assert!(
                 entry.miss_new + entry.miss_evicted + entry.miss_component_changed
                     == entry.cold_solves,
@@ -242,14 +243,14 @@ proptest! {
             .expect("binds");
         let mut client = NetClient::connect(server.local_addr()).expect("connects");
         let (digest_tcp_off, solves_tcp_off) = run_script(&mut client, &script);
+        let remote_off = client.stats().expect("stats frame");
         prop_assert!(
-            client.query_telemetry().expect("telemetry frame").is_empty(),
-            "a sampler-off server answers QueryTelemetry with an empty ring"
+            remote_off.telemetry.is_empty(),
+            "a sampler-off server answers QueryStats with an empty ring"
         );
-        let remote_profile_off = client.query_profile().expect("profile frame");
         prop_assert!(
-            remote_profile_off.entries.is_empty(),
-            "a profiler-off server answers QueryProfile with an empty ledger"
+            remote_off.profile.is_empty(),
+            "a profiler-off server answers QueryStats with an empty ledger"
         );
         client.shutdown_server().expect("shuts down");
         server.join();
@@ -257,11 +258,9 @@ proptest! {
         prop_assert_eq!(solves_tcp_off, solves_off);
 
         // 4. Over one TCP server with obs, sampler and profiler on — a
-        // span-recording client that also drains the telemetry ring and
-        // the profile ledger over the wire. Every deterministic sample
-        // field must match the in-process run's ring (ticks, counters,
-        // byte gauges — everything except the busy-nanos-derived
-        // imbalance, which is wall-clock), and the remote ledger's
+        // span-recording client that also reads the telemetry ring and
+        // the profile ledger over the wire. The remote ring must equal the
+        // in-process run's ring sample for sample, and the remote ledger's
         // deterministic fields must match the in-process ledger exactly.
         let server = NetServer::bind("127.0.0.1:0", Engine::new(engine_config(ObsConfig::enabled(), 1024, 128)))
             .expect("binds");
@@ -270,12 +269,11 @@ proptest! {
             .expect("connects")
             .with_tracer(tracer.clone());
         let (digest_tcp_on, solves_tcp_on) = run_script(&mut client, &script);
-        let remote_ring = client.query_telemetry().expect("telemetry frame");
-        let remote_profile = client.query_profile().expect("profile frame");
+        let remote_stats = client.stats().expect("stats frame");
         client.shutdown_server().expect("shuts down");
         server.join();
-        prop_assert_eq!(remote_profile.entries.len(), ledger.entries.len());
-        for (remote, local) in remote_profile.entries.iter().zip(&ledger.entries) {
+        prop_assert_eq!(remote_stats.profile.len(), ledger.len());
+        for (remote, local) in remote_stats.profile.iter().zip(ledger) {
             prop_assert_eq!(remote.template_fingerprint, local.template_fingerprint);
             prop_assert_eq!(remote.warm_solves, local.warm_solves);
             prop_assert_eq!(remote.cold_solves, local.cold_solves);
@@ -286,17 +284,6 @@ proptest! {
         prop_assert_eq!(digest_tcp_on, digest_off);
         prop_assert_eq!(solves_tcp_on, solves_off);
         prop_assert!(tracer.recorded() > 0, "the client recorded its wire spans");
-        prop_assert_eq!(remote_ring.len(), ring.len());
-        for (remote, local) in remote_ring.iter().zip(&ring) {
-            prop_assert_eq!(remote.tick, local.tick);
-            prop_assert_eq!(remote.requests, local.requests);
-            prop_assert_eq!(remote.solves, local.solves);
-            prop_assert_eq!(remote.queue_depth, local.queue_depth);
-            prop_assert_eq!(remote.warm_rate_ppm, local.warm_rate_ppm);
-            prop_assert_eq!(remote.mem_session_bytes, local.mem_session_bytes);
-            prop_assert_eq!(remote.mem_pending_bytes, local.mem_pending_bytes);
-            prop_assert_eq!(remote.mem_served_bytes, local.mem_served_bytes);
-            prop_assert_eq!(remote.mem_cache_bytes, local.mem_cache_bytes);
-        }
+        prop_assert_eq!(&remote_stats.telemetry, ring);
     }
 }
