@@ -464,6 +464,27 @@ mod tests {
     }
 
     #[test]
+    fn lp_simp_standard_form_has_no_bound_rows() {
+        // Every LP_SIMP variable lives in [0, 1]; those bounds stay on the
+        // columns, so the simplex works on one row per constraint.
+        let inst = running_example();
+        let simp = build_lp_simp(&inst);
+        let sol = solve_lp(&simp.lp, &SimplexOptions::default()).unwrap();
+        assert!(simp
+            .lp
+            .variables()
+            .iter()
+            .all(|v| v.lower == 0.0 && v.upper == 1.0));
+        assert_eq!(sol.work.rows, simp.lp.num_constraints());
+        // One slack (`y ≤ x` rows) or artificial (budget rows) per row.
+        assert_eq!(
+            sol.work.cols,
+            simp.lp.num_variables() + simp.lp.num_constraints()
+        );
+        assert!(sol.work.phase1_pivots + sol.work.phase2_pivots > 0);
+    }
+
+    #[test]
     fn min_coupling_objective_matches_lp_simp() {
         let inst = running_example();
         let simp = build_lp_simp(&inst);

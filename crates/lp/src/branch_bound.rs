@@ -10,7 +10,7 @@
 //!   point being that *no* time-boxed exact strategy matches AVG-D, which is
 //!   reproduced by time-boxing these strategies.
 
-use crate::model::{LinearProgram, Solution, VarId};
+use crate::model::{LinearProgram, Solution, SolveWork, VarId};
 use crate::simplex::{solve_lp, SimplexError, SimplexOptions};
 use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
@@ -80,7 +80,8 @@ pub enum MilpStatus {
 /// Result of a MILP solve.
 #[derive(Clone, Debug)]
 pub struct MilpResult {
-    /// Best integer-feasible solution found (if any).
+    /// Best integer-feasible solution found (if any). Its `work` sums the
+    /// simplex work of every node relaxation that solved.
     pub solution: Option<Solution>,
     /// Upper bound on the optimal objective (maximisation).
     pub best_bound: f64,
@@ -166,6 +167,7 @@ pub fn solve_milp(lp: &LinearProgram, config: &BranchBoundConfig) -> MilpResult 
     }
 
     let mut incumbent: Option<Solution> = None;
+    let mut work = SolveWork::default();
     let mut nodes_explored = 0usize;
     let mut stack: Vec<Node> = Vec::new(); // DFS pool
     let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new(); // best-bound pool
@@ -233,6 +235,7 @@ pub fn solve_milp(lp: &LinearProgram, config: &BranchBoundConfig) -> MilpResult 
             Err(SimplexError::Infeasible) => continue,
             Err(_) => continue,
         };
+        work.absorb(&sol.work);
         if node.depth == 0 {
             root_bound = sol.objective;
         }
@@ -270,7 +273,11 @@ pub fn solve_milp(lp: &LinearProgram, config: &BranchBoundConfig) -> MilpResult 
                         .as_ref()
                         .is_none_or(|inc| objective > inc.objective + 1e-12)
                 {
-                    incumbent = Some(Solution { values, objective });
+                    incumbent = Some(Solution {
+                        values,
+                        objective,
+                        work: SolveWork::default(),
+                    });
                 }
             }
             Some((v, _)) => {
@@ -338,6 +345,9 @@ pub fn solve_milp(lp: &LinearProgram, config: &BranchBoundConfig) -> MilpResult 
         (None, true) => MilpStatus::Infeasible,
         (None, false) => MilpStatus::Unknown,
     };
+    if let Some(solution) = &mut incumbent {
+        solution.work = work;
+    }
     MilpResult {
         solution: incumbent,
         best_bound,
@@ -364,6 +374,24 @@ mod tests {
             None,
         );
         lp
+    }
+
+    #[test]
+    fn incumbent_reports_the_simplex_work_of_every_node() {
+        let lp = knapsack();
+        let root = solve_lp(&lp.relaxed(), &SimplexOptions::default()).unwrap();
+        let res = solve_milp(&lp, &BranchBoundConfig::default());
+        assert!(res.nodes_explored > 1);
+        let work = res.solution.expect("feasible knapsack").work;
+        // A fixing can turn a row's sign and add an artificial column.
+        assert_eq!(work.rows, root.work.rows);
+        assert!(work.cols >= root.work.cols);
+        let pivots = |w: &SolveWork| w.phase1_pivots + w.phase2_pivots;
+        assert!(
+            pivots(&work) > pivots(&root.work),
+            "{work:?} vs {:?}",
+            root.work
+        );
     }
 
     #[test]

@@ -10,8 +10,10 @@
 //!
 //! * [`model::LinearProgram`] — a small modelling layer: bounded continuous or
 //!   integer variables, sparse linear constraints, maximisation objective.
-//! * [`simplex`] — a dense two-phase primal simplex solving the LP relaxation
-//!   exactly (used for small and medium instances, and inside branch & bound).
+//! * [`simplex`] — a bounded-variable two-phase primal simplex on a dense
+//!   tableau (bounds stay off the rows, reduced costs are maintained through
+//!   pivots) solving the LP relaxation exactly (used for small and medium
+//!   instances, and inside branch & bound).
 //! * [`branch_bound`] — a branch-and-bound MILP solver on top of the simplex,
 //!   with pluggable node-selection strategies (used as the "IP" baseline and
 //!   for the time-boxed MIP-strategy comparison of Fig. 9(a)).
@@ -67,7 +69,7 @@ pub mod simplex;
 pub mod structured;
 
 pub use branch_bound::{BranchBoundConfig, MilpResult, MilpStatus, NodeSelection};
-pub use model::{Constraint, ConstraintSense, LinearProgram, Solution, VarId, VarKind};
+pub use model::{Constraint, ConstraintSense, LinearProgram, Solution, SolveWork, VarId, VarKind};
 pub use simplex::{solve_lp, SimplexError, SimplexOptions};
 pub use structured::{
     project_onto_budgets, solve_min_coupling, solve_min_coupling_warm, CoordinateAscentOptions,

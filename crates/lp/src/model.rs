@@ -224,12 +224,41 @@ pub struct Solution {
     pub values: Vec<f64>,
     /// Objective value (maximisation).
     pub objective: f64,
+    /// Simplex work spent reaching this solution.
+    pub work: SolveWork,
 }
 
 impl Solution {
     /// Value of variable `id`.
     pub fn value(&self, id: VarId) -> f64 {
         self.values[id]
+    }
+}
+
+/// Work counters of a simplex solve, in standard-form terms.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SolveWork {
+    /// Rows of the standard form: one per constraint (bounds are not rows).
+    pub rows: usize,
+    /// Columns of the standard form: structural, slack/surplus and artificial.
+    pub cols: usize,
+    /// Phase-1 pivots, bound flips and artificial drive-out pivots included.
+    pub phase1_pivots: usize,
+    /// Phase-2 pivots, bound flips included.
+    pub phase2_pivots: usize,
+    /// Pivots (either phase) that were bound flips: the entering variable
+    /// reached its own upper bound and no row changed basis.
+    pub bound_flips: usize,
+}
+
+impl SolveWork {
+    /// Adds the pivots of another solve; `rows`/`cols` keep the larger form.
+    pub fn absorb(&mut self, other: &SolveWork) {
+        self.rows = self.rows.max(other.rows);
+        self.cols = self.cols.max(other.cols);
+        self.phase1_pivots += other.phase1_pivots;
+        self.phase2_pivots += other.phase2_pivots;
+        self.bound_flips += other.bound_flips;
     }
 }
 

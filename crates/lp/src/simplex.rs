@@ -1,23 +1,36 @@
-//! Dense two-phase primal simplex.
+//! Bounded-variable two-phase primal simplex on a dense tableau.
 //!
 //! The solver works on the generic [`LinearProgram`] model: arbitrary variable
 //! bounds, `≤` / `≥` / `=` constraints, maximisation objective.  Internally it
-//! converts the program to standard form (shifted non-negative variables,
-//! explicit upper-bound rows, slack / surplus / artificial columns) and runs a
-//! textbook two-phase tableau simplex with a largest-reduced-cost pivot rule
-//! and a Bland's-rule fallback to prevent cycling.
+//! converts the program to standard form — variables shifted to a zero lower
+//! bound, one row per constraint with slack / surplus / artificial columns —
+//! and runs a two-phase tableau simplex.
+//!
+//! * **Bounds are not rows.**  A finite upper bound `u` stays on its column.
+//!   The ratio test takes the smallest of three limits: a basic variable falls
+//!   to zero, a basic variable rises to its upper bound (its row is
+//!   complemented, then pivoted), or the entering variable reaches its own
+//!   bound (a *flip*: no pivot).  A nonbasic variable at its upper bound is
+//!   held complemented (`x = u − x′`), so every nonbasic column of the
+//!   tableau sits at zero.
+//! * **Reduced costs are maintained.**  The reduced-cost row is computed once
+//!   per phase and updated in `O(cols)` from the normalised pivot row after
+//!   every pivot; elimination only touches the pivot row's nonzero entries.
+//! * **Pricing** takes the largest reduced cost, with a Bland's-rule fallback
+//!   to prevent cycling once half the pivot budget is spent.  Bound flips
+//!   count against that budget.
 //!
 //! The implementation targets correctness and predictability at the scale
 //! where the paper itself uses exact LPs (small evaluation instances and the
 //! root relaxations of the IP baseline); the large-scale relaxations are
 //! handled by [`crate::structured`].
 
-use crate::model::{ConstraintSense, LinearProgram, Solution};
+use crate::model::{ConstraintSense, LinearProgram, Solution, SolveWork};
 
 /// Options controlling the simplex run.
 #[derive(Clone, Debug)]
 pub struct SimplexOptions {
-    /// Maximum number of pivots across both phases.
+    /// Maximum number of pivots (bound flips included) across both phases.
     pub max_pivots: usize,
     /// Numerical tolerance for optimality / feasibility tests.
     pub tolerance: f64,
@@ -79,26 +92,50 @@ pub fn solve_lp(lp: &LinearProgram, options: &SimplexOptions) -> Result<Solution
     Tableau::build(lp, options)?.solve(lp)
 }
 
+/// What the ratio test decided for an entering column.
+enum Step {
+    /// The entering variable reaches its own upper bound first.
+    Flip,
+    /// Pivot on this row; `at_upper` when its basic variable leaves at its
+    /// upper bound rather than at zero.
+    Pivot { row: usize, at_upper: bool },
+    /// Nothing limits the entering variable.
+    Unbounded,
+}
+
 /// Internal standard-form tableau.
 struct Tableau {
-    /// Row-major matrix of size `rows × (cols + 1)`; the last column is the RHS.
+    /// Row-major matrix of size `rows × (cols + 1)`; the last column is the RHS,
+    /// the value of the row's basic variable.
     a: Vec<f64>,
     rows: usize,
     cols: usize,
     /// `basis[r]` is the column currently basic in row `r`.
     basis: Vec<usize>,
+    /// `is_basic[j]` mirrors `basis`; kept in step by [`Tableau::pivot`].
+    is_basic: Vec<bool>,
+    /// Upper bound of each column after the shift; infinite for slack,
+    /// surplus and artificial columns and for variables without one.
+    upper: Vec<f64>,
+    /// `flipped[j]`: column `j` holds the complement `upper[j] − x_j`.
+    flipped: Vec<bool>,
     /// Phase-2 objective coefficients per column (minimisation form).
     cost: Vec<f64>,
-    /// Phase-1 objective coefficients per column.
-    phase1_cost: Vec<f64>,
+    /// Reduced costs of the running phase, in each column's orientation.
+    reduced: Vec<f64>,
+    /// Nonzero `(column, value)` entries of the last normalised pivot row;
+    /// kept across pivots so a pivot does not reallocate it.
+    pivot_row: Vec<(usize, f64)>,
     /// Columns corresponding to the original (shifted) structural variables.
     structural: usize,
     /// Shift applied to each original variable (its lower bound).
     shift: Vec<f64>,
-    /// Constant offset of the objective induced by the shifts.
-    objective_offset: f64,
     options: SimplexOptions,
     artificial_start: usize,
+    /// Pivots so far, bound flips included.
+    pivots: usize,
+    /// Bound flips so far.
+    flips: usize,
 }
 
 impl Tableau {
@@ -112,8 +149,8 @@ impl Tableau {
             shift[i] = v.lower;
         }
 
-        // Collect rows: user constraints plus finite upper-bound rows.
-        // Each row: (coefficients over structural vars, sense, rhs).
+        // One row per user constraint: (coefficients over structural vars,
+        // sense, rhs). Variable bounds stay on the columns.
         struct Row {
             coeffs: Vec<(usize, f64)>,
             sense: ConstraintSense,
@@ -137,16 +174,6 @@ impl Tableau {
                 sense: c.sense,
                 rhs: c.rhs - shift_amount,
             });
-        }
-        for (i, v) in lp.variables().iter().enumerate() {
-            if v.upper.is_finite() {
-                let span = v.upper - v.lower;
-                raw_rows.push(Row {
-                    coeffs: vec![(i, 1.0)],
-                    sense: ConstraintSense::LessEq,
-                    rhs: span,
-                });
-            }
         }
 
         // Normalise RHS to be non-negative.
@@ -211,18 +238,17 @@ impl Tableau {
                 }
             }
         }
+        let mut is_basic = vec![false; cols];
+        for &b in &basis {
+            is_basic[b] = true;
+        }
 
         // Phase-2 cost: minimise -objective over shifted variables.
         let mut cost = vec![0.0; cols];
-        let mut objective_offset = 0.0;
+        let mut upper = vec![f64::INFINITY; cols];
         for (i, v) in lp.variables().iter().enumerate() {
             cost[i] = -v.objective;
-            objective_offset += v.objective * shift[i];
-        }
-        // Phase-1 cost: minimise the sum of artificials.
-        let mut phase1_cost = vec![0.0; cols];
-        for slot in phase1_cost.iter_mut().skip(artificial_start) {
-            *slot = 1.0;
+            upper[i] = v.upper - v.lower;
         }
 
         Ok(Self {
@@ -230,24 +256,24 @@ impl Tableau {
             rows,
             cols,
             basis,
+            is_basic,
+            upper,
+            flipped: vec![false; cols],
             cost,
-            phase1_cost,
+            reduced: vec![0.0; cols],
+            pivot_row: Vec::new(),
             structural,
             shift,
-            objective_offset,
             options: options.clone(),
             artificial_start,
+            pivots: 0,
+            flips: 0,
         })
     }
 
     #[inline]
     fn at(&self, r: usize, c: usize) -> f64 {
         self.a[r * (self.cols + 1) + c]
-    }
-
-    #[inline]
-    fn set(&mut self, r: usize, c: usize, v: f64) {
-        self.a[r * (self.cols + 1) + c] = v;
     }
 
     fn rhs(&self, r: usize) -> f64 {
@@ -262,78 +288,185 @@ impl Tableau {
         self.options.tolerance.max(1e-11)
     }
 
-    /// Performs the pivot, returning `false` (tableau untouched) when the
-    /// pivot element is too small to divide by. In release builds this is the
-    /// guard that keeps an ill-conditioned instance from silently corrupting
-    /// the tableau; callers fall back to another column or report
-    /// [`SimplexError::Numerical`].
-    #[must_use]
-    fn pivot(&mut self, pr: usize, pc: usize) -> bool {
+    /// Whether `(pr, pc)` is safe to pivot on. A pivot element that is not
+    /// finite or too small to divide by is the guard that keeps an
+    /// ill-conditioned instance from silently corrupting the tableau; callers
+    /// fall back to another column or report [`SimplexError::Numerical`].
+    fn pivot_is_stable(&self, pr: usize, pc: usize) -> bool {
+        let pivot_val = self.at(pr, pc);
+        pivot_val.is_finite() && pivot_val.abs() > self.min_pivot()
+    }
+
+    /// Phase cost of column `j` in its current orientation. Phase 1 minimises
+    /// the sum of the artificials, phase 2 the negated objective.
+    fn phase_cost(&self, phase1: bool, j: usize) -> f64 {
+        let c = match phase1 {
+            true if j >= self.artificial_start => 1.0,
+            true => 0.0,
+            false => self.cost[j],
+        };
+        if self.flipped[j] {
+            -c
+        } else {
+            c
+        }
+    }
+
+    /// Sets `reduced` to `c_j − Σ_r c_{basis[r]} · a[r][j]` for the phase's costs.
+    fn price_from_scratch(&mut self, phase1: bool) {
+        let width = self.cols + 1;
+        for j in 0..self.cols {
+            self.reduced[j] = self.phase_cost(phase1, j);
+        }
+        for r in 0..self.rows {
+            let cb = self.phase_cost(phase1, self.basis[r]);
+            if cb != 0.0 {
+                let row = &self.a[r * width..r * width + self.cols];
+                for (d, &v) in self.reduced.iter_mut().zip(row) {
+                    *d -= cb * v;
+                }
+            }
+        }
+        for &b in &self.basis {
+            self.reduced[b] = 0.0;
+        }
+    }
+
+    /// Pivots column `pc` into the basis at row `pr`, updating the reduced
+    /// costs from the normalised pivot row. The caller has checked
+    /// [`Tableau::pivot_is_stable`].
+    fn pivot(&mut self, pr: usize, pc: usize) {
         let width = self.cols + 1;
         let pivot_val = self.at(pr, pc);
-        if !pivot_val.is_finite() || pivot_val.abs() <= self.min_pivot() {
-            return false;
-        }
-        for c in 0..width {
-            let v = self.at(pr, c) / pivot_val;
-            self.set(pr, c, v);
+        let mut nonzeros = std::mem::take(&mut self.pivot_row);
+        nonzeros.clear();
+        for (c, v) in self.a[pr * width..(pr + 1) * width].iter_mut().enumerate() {
+            if *v != 0.0 {
+                *v /= pivot_val;
+                nonzeros.push((c, *v));
+            }
         }
         for r in 0..self.rows {
             if r == pr {
                 continue;
             }
-            let factor = self.at(r, pc);
-            if factor.abs() <= 0.0 {
+            let row = &mut self.a[r * width..(r + 1) * width];
+            let factor = row[pc];
+            if factor == 0.0 {
                 continue;
             }
-            for c in 0..width {
-                let v = self.at(r, c) - factor * self.a[pr * width + c];
-                self.set(r, c, v);
+            for &(c, v) in &nonzeros {
+                row[c] -= factor * v;
             }
         }
+        let d = self.reduced[pc];
+        if d != 0.0 {
+            for &(c, v) in &nonzeros {
+                if c < self.cols {
+                    self.reduced[c] -= d * v;
+                }
+            }
+        }
+        self.pivot_row = nonzeros;
+        self.is_basic[self.basis[pr]] = false;
+        self.is_basic[pc] = true;
         self.basis[pr] = pc;
-        true
+        self.pivots += 1;
     }
 
-    /// Runs the simplex method on the given cost vector, starting from the
-    /// current basic feasible solution.  `allowed_cols` limits the entering
-    /// columns (phase 2 forbids artificials).  Returns the number of pivots.
-    fn run_phase(
-        &mut self,
-        cost: &[f64],
-        forbid_artificials: bool,
-        pivots_used: &mut usize,
-    ) -> Result<(), SimplexError> {
+    /// Moves nonbasic column `j` from zero to its upper bound and complements
+    /// it, so it sits at zero again.
+    fn flip(&mut self, j: usize) {
+        let cols = self.cols;
+        let u = self.upper[j];
+        for row in self.a.chunks_exact_mut(cols + 1) {
+            let coef = row[j];
+            if coef != 0.0 {
+                row[cols] -= coef * u;
+                row[j] = -coef;
+            }
+        }
+        self.reduced[j] = -self.reduced[j];
+        self.flipped[j] = !self.flipped[j];
+        self.pivots += 1;
+        self.flips += 1;
+    }
+
+    /// Complements the basic variable of row `r` (`x_B = u_B − x′_B`), so a
+    /// pivot on that row leaves it at its upper bound. Reduced costs do not
+    /// change: every product `c_B · a[r][j]` keeps its sign.
+    fn complement_row(&mut self, r: usize) {
+        let width = self.cols + 1;
+        let b = self.basis[r];
+        let u = self.upper[b];
+        let row = &mut self.a[r * width..(r + 1) * width];
+        for (c, v) in row[..self.cols].iter_mut().enumerate() {
+            if c != b {
+                *v = -*v;
+            }
+        }
+        row[self.cols] = u - row[self.cols];
+        self.flipped[b] = !self.flipped[b];
+    }
+
+    /// Bounded-variable ratio test for entering column `pc`. Ties between rows
+    /// go to the lower basic column; a row also wins a tie with the entering
+    /// variable's own bound.
+    fn ratio_test(&self, pc: usize) -> Step {
         let tol = self.options.tolerance;
+        let mut leaving: Option<(usize, bool)> = None;
+        let mut best_ratio = f64::INFINITY;
+        for r in 0..self.rows {
+            let coef = self.at(r, pc);
+            let ratio = if coef > tol {
+                self.rhs(r) / coef
+            } else if coef < -tol && self.upper[self.basis[r]].is_finite() {
+                (self.upper[self.basis[r]] - self.rhs(r)) / -coef
+            } else {
+                continue;
+            };
+            if ratio < best_ratio - tol
+                || (ratio < best_ratio + tol
+                    && leaving.is_none_or(|(lr, _)| self.basis[r] < self.basis[lr]))
+            {
+                best_ratio = ratio;
+                leaving = Some((r, coef < 0.0));
+            }
+        }
+        if self.upper[pc] < best_ratio - tol {
+            return Step::Flip;
+        }
+        match leaving {
+            Some((row, at_upper)) => Step::Pivot { row, at_upper },
+            None => Step::Unbounded,
+        }
+    }
+
+    /// Runs the simplex method on the phase's costs, starting from the current
+    /// basic feasible solution. Phase 2 forbids artificials from entering.
+    fn run_phase(&mut self, phase1: bool) -> Result<(), SimplexError> {
+        let tol = self.options.tolerance;
+        self.price_from_scratch(phase1);
+        let col_limit = if phase1 {
+            self.cols
+        } else {
+            self.artificial_start
+        };
         // Columns rejected this iteration because their only improving pivot
         // element was numerically unusable; cleared after every successful
-        // pivot (the tableau, and hence the elements, change).
+        // pivot or flip (the tableau, and hence the elements, change).
         let mut rejected = vec![false; self.cols];
         loop {
-            if *pivots_used >= self.options.max_pivots {
+            if self.pivots >= self.options.max_pivots {
                 return Err(SimplexError::IterationLimit);
             }
-            // Reduced costs: c_j - c_B B^{-1} A_j.  With an explicit tableau the
-            // reduced cost is c_j - Σ_r c_{basis[r]} * a[r][j].
             let mut entering: Option<usize> = None;
             let mut best_reduced = -tol;
             let mut any_rejected_improving = false;
-            let use_bland = *pivots_used > self.options.max_pivots / 2;
-            let col_limit = if forbid_artificials {
-                self.artificial_start
-            } else {
-                self.cols
-            };
-            for j in 0..col_limit {
-                if self.basis.contains(&j) {
+            let use_bland = self.pivots > self.options.max_pivots / 2;
+            for (j, &reduced) in self.reduced[..col_limit].iter().enumerate() {
+                if self.is_basic[j] {
                     continue;
-                }
-                let mut reduced = cost[j];
-                for r in 0..self.rows {
-                    let cb = cost[self.basis[r]];
-                    if cb != 0.0 {
-                        reduced -= cb * self.at(r, j);
-                    }
                 }
                 if reduced < -tol {
                     if rejected[j] {
@@ -358,45 +491,33 @@ impl Tableau {
                 }
                 return Ok(()); // optimal for this phase
             };
-            // Ratio test.
-            let mut leaving: Option<usize> = None;
-            let mut best_ratio = f64::INFINITY;
-            for r in 0..self.rows {
-                let coef = self.at(r, pc);
-                if coef > tol {
-                    let ratio = self.rhs(r) / coef;
-                    if ratio < best_ratio - tol
-                        || (ratio < best_ratio + tol
-                            && leaving.is_none_or(|lr| self.basis[r] < self.basis[lr]))
-                    {
-                        best_ratio = ratio;
-                        leaving = Some(r);
+            match self.ratio_test(pc) {
+                Step::Unbounded => return Err(SimplexError::Unbounded),
+                Step::Flip => self.flip(pc),
+                Step::Pivot { row, at_upper } => {
+                    if !self.pivot_is_stable(row, pc) {
+                        // Near-zero pivot element: reject the column and retry
+                        // with the remaining candidates (Bland-style fallback)
+                        // rather than dividing the row by numerical noise.
+                        rejected[pc] = true;
+                        continue;
                     }
+                    if at_upper {
+                        self.complement_row(row);
+                    }
+                    self.pivot(row, pc);
                 }
             }
-            let Some(pr) = leaving else {
-                return Err(SimplexError::Unbounded);
-            };
-            if !self.pivot(pr, pc) {
-                // Near-zero pivot element: reject the column and retry with
-                // the remaining candidates (Bland-style fallback) rather than
-                // dividing the row by numerical noise.
-                rejected[pc] = true;
-                continue;
-            }
             rejected.fill(false);
-            *pivots_used += 1;
         }
     }
 
     fn solve(mut self, lp: &LinearProgram) -> Result<Solution, SimplexError> {
         let tol = self.options.tolerance;
-        let mut pivots = 0usize;
 
         // Phase 1: drive artificials to zero (only needed if any exist).
         if self.artificial_start < self.cols {
-            let phase1 = self.phase1_cost.clone();
-            self.run_phase(&phase1, false, &mut pivots)?;
+            self.run_phase(true)?;
             // Compute phase-1 objective = sum of artificial values.
             let mut infeasibility = 0.0;
             for r in 0..self.rows {
@@ -411,16 +532,11 @@ impl Tableau {
             for r in 0..self.rows {
                 if self.basis[r] >= self.artificial_start {
                     // Find a non-artificial column with a non-zero coefficient.
-                    let mut replacement = None;
-                    for j in 0..self.artificial_start {
-                        if !self.basis.contains(&j) && self.at(r, j).abs() > tol {
-                            replacement = Some(j);
-                            break;
-                        }
-                    }
+                    let replacement = (0..self.artificial_start)
+                        .find(|&j| !self.is_basic[j] && self.at(r, j).abs() > tol);
                     if let Some(j) = replacement {
-                        if self.pivot(r, j) {
-                            pivots += 1;
+                        if self.pivot_is_stable(r, j) {
+                            self.pivot(r, j);
                         }
                     }
                     // If no replacement exists (or its pivot element is too
@@ -429,12 +545,13 @@ impl Tableau {
                 }
             }
         }
+        let phase1_pivots = self.pivots;
 
         // Phase 2: optimise the real objective without artificials entering.
-        let phase2 = self.cost.clone();
-        self.run_phase(&phase2, true, &mut pivots)?;
+        self.run_phase(false)?;
 
-        // Extract solution.
+        // Extract solution: basic columns read their row, nonbasic ones sit at
+        // zero, and complemented columns are mapped back through `u − x′`.
         let mut shifted = vec![0.0; self.structural];
         for r in 0..self.rows {
             let b = self.basis[r];
@@ -445,11 +562,28 @@ impl Tableau {
         let values: Vec<f64> = shifted
             .iter()
             .enumerate()
-            .map(|(i, &x)| x + self.shift[i])
+            .map(|(i, &x)| {
+                let x = if self.flipped[i] {
+                    self.upper[i] - x
+                } else {
+                    x
+                };
+                x + self.shift[i]
+            })
             .collect();
-        let _ = self.objective_offset;
         let objective = lp.objective_value(&values);
-        Ok(Solution { values, objective })
+        let work = SolveWork {
+            rows: self.rows,
+            cols: self.cols,
+            phase1_pivots,
+            phase2_pivots: self.pivots - phase1_pivots,
+            bound_flips: self.flips,
+        };
+        Ok(Solution {
+            values,
+            objective,
+            work,
+        })
     }
 }
 
@@ -615,6 +749,245 @@ mod tests {
         let sol = solve_lp(&lp, &options).expect("stable instance solves");
         assert!((sol.objective - 3.0).abs() < 1e-6, "got {}", sol.objective);
         assert!(lp.is_feasible(&sol.values, 1e-9));
+    }
+
+    #[test]
+    fn entering_variable_flips_to_its_own_bound() {
+        // max x + y, x, y ∈ [0, 1], x + y ≤ 5: the row never binds, so each
+        // variable enters and reaches its own bound first — two flips, no
+        // basis change, and the bounds add no rows.
+        let mut lp = LinearProgram::new();
+        let x = lp.add_unit_var(1.0, None);
+        let y = lp.add_unit_var(1.0, None);
+        lp.add_constraint(vec![(x, 1.0), (y, 1.0)], ConstraintSense::LessEq, 5.0, None);
+        let sol = solve(&lp);
+        assert_eq!(sol.values, vec![1.0, 1.0]);
+        assert_eq!(sol.work.rows, 1);
+        assert_eq!(sol.work.cols, 3);
+        assert_eq!(sol.work.bound_flips, 2);
+        assert_eq!(sol.work.phase2_pivots, 2);
+    }
+
+    #[test]
+    fn basic_variable_leaves_at_its_upper_bound() {
+        // max 2y + x  s.t.  y − x ≤ 1,  x + y ≤ 10,  y ∈ [0, 3],  x ≥ 0.
+        // y enters first and becomes basic at 1 in the first row; when x
+        // enters, that row's coefficient is −1, so y rises with x and leaves
+        // the basis at its upper bound 3 (the row is complemented, then
+        // pivoted). The optimum is y = 3, x = 7.
+        let mut lp = LinearProgram::new();
+        let y = lp.add_variable(2.0, 0.0, 3.0, VarKind::Continuous, None);
+        let x = lp.add_variable(1.0, 0.0, f64::INFINITY, VarKind::Continuous, None);
+        lp.add_constraint(
+            vec![(y, 1.0), (x, -1.0)],
+            ConstraintSense::LessEq,
+            1.0,
+            None,
+        );
+        lp.add_constraint(
+            vec![(x, 1.0), (y, 1.0)],
+            ConstraintSense::LessEq,
+            10.0,
+            None,
+        );
+        let sol = solve(&lp);
+        assert!((sol.objective - 13.0).abs() < 1e-9, "got {}", sol.objective);
+        assert!((sol.values[y] - 3.0).abs() < 1e-9);
+        assert!((sol.values[x] - 7.0).abs() < 1e-9);
+        assert!(lp.is_feasible(&sol.values, 1e-9));
+        assert_eq!(sol.work.bound_flips, 0);
+    }
+
+    #[test]
+    fn fixed_variables_stay_at_their_value() {
+        // x is fixed at 2 (profitable, so it tries to enter and flips over a
+        // zero-width bound), z is fixed at 1 inside an equality row.
+        // max x + y + z  s.t.  x + y ≤ 4,  y + z = 3,  y ∈ [0, 5].
+        let mut lp = LinearProgram::new();
+        let x = lp.add_variable(1.0, 2.0, 2.0, VarKind::Continuous, None);
+        let y = lp.add_variable(1.0, 0.0, 5.0, VarKind::Continuous, None);
+        let z = lp.add_variable(1.0, 1.0, 1.0, VarKind::Continuous, None);
+        lp.add_constraint(vec![(x, 1.0), (y, 1.0)], ConstraintSense::LessEq, 4.0, None);
+        lp.add_constraint(vec![(y, 1.0), (z, 1.0)], ConstraintSense::Equal, 3.0, None);
+        let sol = solve(&lp);
+        assert_eq!(sol.values[x], 2.0);
+        assert_eq!(sol.values[z], 1.0);
+        assert!((sol.values[y] - 2.0).abs() < 1e-9);
+        assert!((sol.objective - 5.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn mixed_bounds_with_nonzero_lower_bounds() {
+        // max 3a + 2b − c  s.t.  a + b ≤ 6,  b − c ≤ 1,  a + c ≥ 2,
+        // a ∈ [1, 4], b ∈ [−2, ∞), c ∈ [0.5, 3]. a goes to its bound 4, then
+        // b to 2 (a + b ≤ 6), which needs c ≥ 1: objective 12 + 4 − 1 = 15.
+        let mut lp = LinearProgram::new();
+        let a = lp.add_variable(3.0, 1.0, 4.0, VarKind::Continuous, None);
+        let b = lp.add_variable(2.0, -2.0, f64::INFINITY, VarKind::Continuous, None);
+        let c = lp.add_variable(-1.0, 0.5, 3.0, VarKind::Continuous, None);
+        lp.add_constraint(vec![(a, 1.0), (b, 1.0)], ConstraintSense::LessEq, 6.0, None);
+        lp.add_constraint(
+            vec![(b, 1.0), (c, -1.0)],
+            ConstraintSense::LessEq,
+            1.0,
+            None,
+        );
+        lp.add_constraint(
+            vec![(a, 1.0), (c, 1.0)],
+            ConstraintSense::GreaterEq,
+            2.0,
+            None,
+        );
+        let sol = solve(&lp);
+        assert!((sol.objective - 15.0).abs() < 1e-9, "got {}", sol.objective);
+        for (var, want) in [(a, 4.0), (b, 2.0), (c, 1.0)] {
+            assert!((sol.values[var] - want).abs() < 1e-9, "{:?}", sol.values);
+        }
+        assert_eq!(sol.work.rows, 3, "bounds must not become rows");
+    }
+
+    #[test]
+    fn bounds_as_columns_match_bounds_as_rows() {
+        // Random LPs with mixed finite/infinite upper bounds and nonzero lower
+        // bounds, solved once as given and once with every finite upper bound
+        // written out as an explicit `x ≤ u` row on an unbounded variable.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(13);
+        for case in 0..60 {
+            let nvars = rng.gen_range(2..8usize);
+            let mut bounded = LinearProgram::new();
+            let mut rows = LinearProgram::new();
+            let mut uppers = Vec::new();
+            for _ in 0..nvars {
+                let objective = rng.gen_range(-2.0..3.0);
+                let lower = if rng.gen_bool(0.5) {
+                    0.0
+                } else {
+                    rng.gen_range(-2.0..2.0)
+                };
+                let upper = if rng.gen_bool(0.7) {
+                    lower + rng.gen_range(0.0..3.0)
+                } else {
+                    f64::INFINITY
+                };
+                bounded.add_variable(objective, lower, upper, VarKind::Continuous, None);
+                rows.add_variable(objective, lower, f64::INFINITY, VarKind::Continuous, None);
+                uppers.push(upper);
+            }
+            // A box keeps every instance bounded; it is a real row in both.
+            let all: Vec<_> = (0..nvars).map(|v| (v, 1.0)).collect();
+            for lp in [&mut bounded, &mut rows] {
+                lp.add_constraint(all.clone(), ConstraintSense::LessEq, 8.0, None);
+            }
+            for _ in 0..rng.gen_range(1..5usize) {
+                let mut terms = Vec::new();
+                for v in 0..nvars {
+                    if rng.gen_bool(0.6) {
+                        terms.push((v, rng.gen_range(-2.0..2.0)));
+                    }
+                }
+                let rhs = rng.gen_range(-1.0..4.0);
+                for lp in [&mut bounded, &mut rows] {
+                    lp.add_constraint(terms.clone(), ConstraintSense::LessEq, rhs, None);
+                }
+            }
+            for (v, &u) in uppers.iter().enumerate() {
+                if u.is_finite() {
+                    rows.add_constraint(vec![(v, 1.0)], ConstraintSense::LessEq, u, None);
+                }
+            }
+            match (
+                solve_lp(&bounded, &SimplexOptions::default()),
+                solve_lp(&rows, &SimplexOptions::default()),
+            ) {
+                (Ok(got), Ok(want)) => {
+                    assert!(
+                        (got.objective - want.objective).abs()
+                            <= 1e-7 * want.objective.abs().max(1.0),
+                        "case {case}: {} vs {}",
+                        got.objective,
+                        want.objective
+                    );
+                    assert!(bounded.is_feasible(&got.values, 1e-7), "case {case}");
+                    assert_eq!(got.work.rows, bounded.num_constraints());
+                }
+                (got, want) => assert_eq!(
+                    got.map(|s| s.objective).unwrap_err(),
+                    want.map(|s| s.objective).unwrap_err(),
+                    "case {case}"
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn near_zero_pivot_is_rejected_even_below_a_finite_bound() {
+        // As above, but `y` has a finite upper bound far beyond its row's
+        // limit: the ratio test picks the row (not a flip), so the guard must
+        // still reject it.
+        let mut lp = LinearProgram::new();
+        let y = lp.add_variable(1e6, 0.0, 1e15, VarKind::Continuous, None);
+        lp.add_constraint(vec![(y, 1e-13)], ConstraintSense::LessEq, 1.0, None);
+        let options = SimplexOptions {
+            tolerance: 1e-15,
+            ..SimplexOptions::default()
+        };
+        assert_eq!(
+            solve_lp(&lp, &options).unwrap_err(),
+            SimplexError::Numerical
+        );
+    }
+
+    #[test]
+    fn near_zero_pivot_is_rejected_before_an_upper_bound_exit() {
+        // max 10y + x  s.t.  y − 1e-13·x ≤ 1,  y ∈ [0, 3],  x ≥ 0.  y enters
+        // and becomes basic at 1; x then only moves y towards its upper bound,
+        // through a 1e-13 pivot element. The guard must reject that pivot
+        // (before the row is complemented) and, with no other improving
+        // column, report the numerical abort.
+        let mut lp = LinearProgram::new();
+        let y = lp.add_variable(10.0, 0.0, 3.0, VarKind::Continuous, None);
+        let x = lp.add_variable(1.0, 0.0, f64::INFINITY, VarKind::Continuous, None);
+        lp.add_constraint(
+            vec![(y, 1.0), (x, -1e-13)],
+            ConstraintSense::LessEq,
+            1.0,
+            None,
+        );
+        let options = SimplexOptions {
+            tolerance: 1e-15,
+            ..SimplexOptions::default()
+        };
+        assert_eq!(
+            solve_lp(&lp, &options).unwrap_err(),
+            SimplexError::Numerical
+        );
+    }
+
+    #[test]
+    fn bound_flips_count_against_the_pivot_budget() {
+        // Three flips are needed; a budget of two stops the solve.
+        let mut lp = LinearProgram::new();
+        for _ in 0..3 {
+            lp.add_unit_var(1.0, None);
+        }
+        lp.add_constraint(
+            vec![(0, 1.0), (1, 1.0), (2, 1.0)],
+            ConstraintSense::LessEq,
+            5.0,
+            None,
+        );
+        let options = SimplexOptions {
+            max_pivots: 2,
+            ..SimplexOptions::default()
+        };
+        assert_eq!(
+            solve_lp(&lp, &options).unwrap_err(),
+            SimplexError::IterationLimit
+        );
+        let sol = solve(&lp);
+        assert_eq!((sol.work.phase2_pivots, sol.work.bound_flips), (3, 3));
     }
 
     #[test]

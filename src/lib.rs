@@ -8,8 +8,8 @@
 //!
 //! * [`graph`] — directed social-graph substrate, generators, community
 //!   detection, clustering, sampling;
-//! * [`lp`] — LP/MILP solvers (two-phase simplex, branch & bound, structured
-//!   block-coordinate ascent for the condensed relaxation);
+//! * [`lp`] — LP/MILP solvers (bounded-variable two-phase simplex, branch &
+//!   bound, structured block-coordinate ascent for the condensed relaxation);
 //! * [`core`] — the SVGIC / SVGIC-ST problem model: instances,
 //!   SAVG k-Configurations, utilities, IP/LP model builders, hardness
 //!   reductions, the paper's running example;
