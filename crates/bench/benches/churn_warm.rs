@@ -2,8 +2,8 @@
 //!
 //! Drives the same churn-heavy trace through two engines that differ only in
 //! the warm-start policy: the default (re-solves reuse previously computed
-//! factors via the session-affine layer, the per-shard fingerprint caches and
-//! the component cache) and the cold baseline (`warm_start_lp: false` — every
+//! whole-instance and per-component factors from each shard's fingerprint
+//! cache) and the cold baseline (`warm_start_lp: false` — every
 //! re-solve recomputes its LP from scratch). Warm starting is a pure
 //! optimization, so the run **asserts byte-identical served-configuration
 //! digests** before timing anything; the economics table then shows how much
@@ -70,7 +70,7 @@ fn churn_warm(c: &mut Criterion) {
     let cs = &cold.engine;
     println!(
         "{:<6} {:>7} {:>9} {:>10} {:>10} {:>12} {:>14} {:>14}",
-        "run", "solves", "lp-comps", "warm-rate", "sess-hits", "lp-time", "mean-warm", "mean-cold"
+        "run", "solves", "lp-comps", "warm-rate", "cache-hits", "lp-time", "mean-warm", "mean-cold"
     );
     for (label, stats) in [("warm", ws), ("cold", cs)] {
         println!(
@@ -79,7 +79,7 @@ fn churn_warm(c: &mut Criterion) {
             stats.solves(),
             stats.cache_misses,
             100.0 * stats.warm_start_rate(),
-            stats.session_reuse,
+            stats.cache_hits,
             stats.lp_time,
             stats.mean_warm_solve_time(),
             stats.mean_cold_solve_time(),

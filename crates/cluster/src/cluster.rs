@@ -1209,7 +1209,7 @@ mod tests {
             assert_eq!(after.generation, before[&key].generation);
         }
         // The promoted warm capital is live: the next incremental re-solve
-        // on the adopting node starts warm (session-affine factor reuse)
+        // on the adopting node starts warm (import seeded its factor cache)
         // even though that node never computed the factors itself.
         let (key, node) = report.recovered[0];
         cluster.reset_stats();

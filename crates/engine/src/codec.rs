@@ -705,8 +705,6 @@ fn write_stats(w: &mut Writer, s: &StatsSnapshot) {
     w.u64(s.solves_full);
     w.u64(s.cache_hits);
     w.u64(s.cache_misses);
-    w.u64(s.batch_shared);
-    w.u64(s.session_reuse);
     w.u64(s.solves_warm);
     w.u64(s.solves_cold);
     w.u64(s.warm_components_reused);
@@ -771,8 +769,6 @@ fn read_stats(r: &mut Reader) -> Result<StatsSnapshot, CodecError> {
         solves_full: r.u64()?,
         cache_hits: r.u64()?,
         cache_misses: r.u64()?,
-        batch_shared: r.u64()?,
-        session_reuse: r.u64()?,
         solves_warm: r.u64()?,
         solves_cold: r.u64()?,
         warm_components_reused: r.u64()?,

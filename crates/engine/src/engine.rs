@@ -1,30 +1,25 @@
 //! The engine: session store, session-sharded dispatch, worker pool,
-//! per-shard factor and warm-component caches.
+//! one factor cache per shard.
 //!
 //! # Dispatch model
 //!
 //! Events accumulate per session ([`crate::scheduler::coalesce`] folds them at
 //! dispatch time). Sessions hash to a **fixed shard** (`session id mod
 //! shards`), and a flush submits one pipeline job per busy shard: the job
-//! restricts the instance, resolves factors (session-affine reuse → shard
-//! factor cache → component-wise solve via [`crate::warm`]) and re-rounds its
-//! sessions in order. Shards own their caches outright, so a global flush
-//! never serializes on a shared cache path — the serial part of a flush is
-//! only the event coalescing and policy decisions.
+//! restricts the instance, resolves factors through the shard's cache
+//! ([`crate::warm::solve_factors_warm`]) and re-rounds its sessions in
+//! order. Shards own their caches outright, so a global flush never
+//! serializes on a shared cache path — the serial part of a flush is only
+//! the event coalescing and policy decisions.
 //!
-//! Factor resolution inside a shard job:
-//!
-//! 1. **Session-affine reuse** — a solve whose factor fingerprint matches the
-//!    session's previous solve reuses the session's own factors (the common
-//!    case for incremental re-rounds, whose fingerprint is the stable base
-//!    fingerprint).
-//! 2. **Shard factor cache** — an LRU keyed by restricted-instance
-//!    fingerprint, shared by the shard's sessions (hot templates hit here).
-//! 3. **Component-wise solve** — the LP separates across social-graph
-//!    components, so missing factors are solved per component with
-//!    fingerprint-keyed reuse of unchanged components
-//!    ([`crate::warm::solve_factors_warm`]). Warm starts are *pure
-//!    optimizations*: factors are byte-identical to a cold solve.
+//! Each shard has **one factor cache**: an LRU keyed by instance
+//! fingerprint, shared by the shard's sessions. A solve looks its whole
+//! (restricted or base) instance up once; on a miss the LP is solved per
+//! social-graph component — the relaxation separates across components —
+//! reusing cached components, and everything solved goes back into the same
+//! cache. Warm starts are *pure optimizations*: factors are byte-identical
+//! to a cold solve. A session's last factors also travel with its export
+//! (its warm capital); import seeds them into the receiving shard's cache.
 //!
 //! Incremental solves then slice the full-population factor rows of the
 //! present shoppers (the paper's §5 dynamic mechanism); full solves round on
@@ -35,9 +30,10 @@
 //! the shard count) instead of once per flush, because restricting and
 //! fingerprinting happen inside the shard jobs — moving them back to the
 //! serial dispatch phase to dedup globally would reintroduce exactly the
-//! serialized O(n·m) per-session work sharding removes. Within a shard,
-//! dedup is exact (`batch_shared`), and hot-template reuse re-converges via
-//! each shard's own caches after one solve per shard.
+//! serialized O(n·m) per-session work sharding removes. Within a shard, a
+//! fingerprint solved earlier in the same batch is a cache hit for every
+//! later session, and hot-template reuse re-converges via each shard's own
+//! cache after one solve per shard.
 //!
 //! Rounding seeds derive from `(session seed, generation)` and results are
 //! applied in session order, so served configurations are reproducible under
@@ -81,17 +77,13 @@ pub struct EngineConfig {
     /// Worker threads (`0` = one per available core).
     pub workers: usize,
     /// Session shards (`0` = one per worker). Sessions map to shard
-    /// `session id mod shards`; each shard owns a factor cache and a warm
-    /// component cache and always runs on worker `shard mod workers`.
+    /// `session id mod shards`; each shard owns a factor cache and always
+    /// runs on worker `shard mod workers`.
     pub shards: usize,
-    /// Per-shard factor-cache capacity in factor sets (`0` disables factor
-    /// caching).
+    /// Per-shard factor-cache capacity in factor sets — whole instances and
+    /// social-graph components alike (`0` disables factor caching; set
+    /// [`ResolvePolicy::warm_start_lp`] to `false` for a fully cold engine).
     pub cache_capacity: usize,
-    /// Per-shard warm component-cache capacity in component factor sets.
-    /// `0` disables only the component-level reuse layer — session-affine
-    /// and factor-cache reuse still serve warm; set
-    /// [`ResolvePolicy::warm_start_lp`] to `false` for a fully cold engine.
-    pub component_cache_capacity: usize,
     /// Incremental-vs-full re-solve (and warm-vs-cold LP) policy.
     pub policy: ResolvePolicy,
     /// Auto-flush once this many events are pending engine-wide
@@ -125,8 +117,7 @@ impl Default for EngineConfig {
         EngineConfig {
             workers: 0,
             shards: 0,
-            cache_capacity: 128,
-            component_cache_capacity: 256,
+            cache_capacity: 384,
             policy: ResolvePolicy::default(),
             auto_flush_pending: 32,
             backend: LpBackend::Auto,
@@ -150,9 +141,6 @@ struct SolvePlan {
     present: Vec<UserIdx>,
     catalog: Vec<ItemIdx>,
     seed: u64,
-    /// The session's previous factors + their fingerprint, for session-affine
-    /// reuse without touching the shard cache.
-    session_factors: Option<(u64, Arc<UtilityFactors>)>,
 }
 
 /// Result of one session's solve inside a shard job.
@@ -172,24 +160,11 @@ struct SolveOutcome {
     /// The session's base-instance (template) fingerprint — the ledger's
     /// attribution key.
     base_fingerprint: u64,
-    /// Whether the factors came from a reuse layer (vs. computed cold).
+    /// Whether the whole instance's factors came from the cache (vs. an LP
+    /// computation, warm or cold).
     warm_served: bool,
     /// Whole-solve wall time (factor resolution through rounding).
     solve_nanos: u64,
-}
-
-/// Caches owned by one shard. Only the shard's own pipeline job touches them
-/// (one job per shard per flush, pinned to a fixed worker), so the mutex is
-/// uncontended — it exists to move the state into the job and back, not to
-/// arbitrate access.
-#[derive(Debug)]
-struct ShardState {
-    /// LRU of whole-instance factors, keyed by restricted-instance
-    /// fingerprint.
-    factors: FactorCache,
-    /// LRU of per-component factors, keyed by component sub-instance
-    /// fingerprint — the warm-start currency.
-    components: FactorCache,
 }
 
 /// The online multi-session serving engine.
@@ -203,7 +178,11 @@ pub struct Engine {
     /// router when another node dies.
     standbys: BTreeMap<u64, SessionExport>,
     next_session: u64,
-    shards: Vec<Arc<Mutex<ShardState>>>,
+    /// One factor cache per shard. Only the shard's own pipeline job touches
+    /// it (one job per shard per flush, pinned to a fixed worker), so the
+    /// mutex is uncontended — it exists to move the cache into the job and
+    /// back, not to arbitrate access.
+    shards: Vec<Arc<Mutex<FactorCache>>>,
     pool: WorkerPool,
     stats: Arc<EngineStats>,
     tracer: Tracer,
@@ -238,12 +217,7 @@ impl Engine {
             config.shards
         };
         let shards = (0..shard_count)
-            .map(|_| {
-                Arc::new(Mutex::new(ShardState {
-                    factors: FactorCache::new(config.cache_capacity),
-                    components: FactorCache::new(config.component_cache_capacity),
-                }))
-            })
+            .map(|_| Arc::new(Mutex::new(FactorCache::new(config.cache_capacity))))
             .collect();
         let tracer = Tracer::new(config.obs);
         let telemetry = TelemetryRing::new(config.telemetry_capacity);
@@ -297,22 +271,13 @@ impl Engine {
         self.shards.len()
     }
 
-    /// Number of factor sets currently cached, summed over shards.
+    /// Number of factor sets (whole instances and components) currently
+    /// cached, summed over shards.
     pub fn cached_factor_sets(&self) -> usize {
         self.shards
             .iter()
             // lint: allow(no-panic, a poisoned shard lock means a worker panicked mid-batch; engine state is unrecoverable)
-            .map(|shard| shard.lock().expect("shard poisoned").factors.len())
-            .sum()
-    }
-
-    /// Number of warm component solutions currently cached, summed over
-    /// shards.
-    pub fn cached_component_sets(&self) -> usize {
-        self.shards
-            .iter()
-            // lint: allow(no-panic, a poisoned shard lock means a worker panicked mid-batch; engine state is unrecoverable)
-            .map(|shard| shard.lock().expect("shard poisoned").components.len())
+            .map(|shard| shard.lock().expect("shard poisoned").len())
             .sum()
     }
 
@@ -692,22 +657,19 @@ impl Engine {
             .sessions_imported
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         // Seed the receiving shard's factor cache with the carried warm
-        // capital: beyond the session's own session-affine reuse, *other*
-        // sessions sharing the fingerprint (same template, e.g.) now hit the
-        // cache instead of recomputing the LP this engine never ran —
-        // migrations cross-pollinate node caches. Factors are byte-identical
-        // wherever computed, so this is a pure optimization.
+        // capital: the session's next re-solve and *other* sessions sharing
+        // the fingerprint (same template, e.g.) hit the cache instead of
+        // recomputing the LP this engine never ran — migrations
+        // cross-pollinate node caches. Factors are byte-identical wherever
+        // computed, so this is a pure optimization.
         if let (Some(fingerprint), Some(factors)) =
             (state.last_factor_fingerprint, state.last_factors.clone())
         {
             // lint: allow(no-panic, a poisoned shard lock means a worker panicked mid-batch; engine state is unrecoverable)
-            let mut shard_state = self.shards[shard].lock().expect("shard poisoned");
-            shard_state.factors.insert(fingerprint, factors);
-            self.stats.set_shard_cache_gauges(
-                shard,
-                shard_state.factors.len(),
-                shard_state.factors.footprint_bytes(),
-            );
+            let mut cache = self.shards[shard].lock().expect("shard poisoned");
+            cache.insert(fingerprint, factors);
+            self.stats
+                .set_shard_cache_gauges(shard, cache.len(), cache.footprint_bytes());
         }
         self.sessions.insert(id, state);
         self.tracer.finish(
@@ -774,11 +736,9 @@ impl Engine {
         for slot in &mut self.queue_since {
             *slot = None;
         }
-        for (shard, state) in self.shards.iter().enumerate() {
+        for (shard, cache) in self.shards.iter().enumerate() {
             // lint: allow(no-panic, a poisoned shard lock means a worker panicked mid-batch; engine state is unrecoverable)
-            let mut shard_state = state.lock().expect("shard poisoned");
-            shard_state.factors = FactorCache::new(self.config.cache_capacity);
-            shard_state.components = FactorCache::new(self.config.component_cache_capacity);
+            *cache.lock().expect("shard poisoned") = FactorCache::new(self.config.cache_capacity);
             self.stats.set_shard_cache_gauges(shard, 0, 0);
         }
         self.stats.reset();
@@ -861,10 +821,6 @@ impl Engine {
                 forced_full,
             };
             let decision = self.config.policy.decide(&inputs);
-
-            let session_factors = state
-                .last_factor_fingerprint
-                .zip(state.last_factors.clone());
             planned += 1;
             buckets
                 .entry(shard_index(id, shard_count))
@@ -878,7 +834,6 @@ impl Engine {
                     present: state.present.clone(),
                     catalog: state.catalog.clone(),
                     seed: state.next_solve_seed(),
-                    session_factors,
                 });
         }
         self.tracer.finish(
@@ -914,7 +869,7 @@ impl Engine {
         let warm_enabled = self.config.policy.warm_start_lp;
         for (shard, plans) in buckets {
             let tx = result_tx.clone();
-            let shard_state = Arc::clone(&self.shards[shard]);
+            let shard_cache = Arc::clone(&self.shards[shard]);
             let stats = Arc::clone(&self.stats);
             let tracer = self.tracer.clone();
             let enqueued_at = queue_waits.get(&shard).copied();
@@ -944,9 +899,9 @@ impl Engine {
                     }
                     let t_dispatch = tracer.begin();
                     // lint: allow(no-panic, a poisoned shard lock means a worker panicked mid-batch; engine state is unrecoverable)
-                    let mut state = shard_state.lock().expect("shard poisoned");
+                    let mut cache = shard_cache.lock().expect("shard poisoned");
                     run_shard_plans(
-                        &mut state,
+                        &mut cache,
                         plans,
                         shard,
                         &options,
@@ -957,12 +912,8 @@ impl Engine {
                         &tracer,
                         &tx,
                     );
-                    stats.set_shard_cache_gauges(
-                        shard,
-                        state.factors.len(),
-                        state.factors.footprint_bytes(),
-                    );
-                    drop(state);
+                    stats.set_shard_cache_gauges(shard, cache.len(), cache.footprint_bytes());
+                    drop(cache);
                     tracer.finish(t_dispatch, Phase::ShardDispatch, 0, 0, shard as u32);
                     stats.record_shard_busy(shard, busy_started.elapsed().as_nanos() as u64);
                 }),
@@ -1028,12 +979,12 @@ fn shard_index(id: u64, shard_count: usize) -> usize {
 }
 
 /// Executes one shard's plans: restrict the instance, resolve factors
-/// (session-affine reuse → shard cache → component-wise solve), re-round, and
-/// stream the outcomes back. Runs pinned to the shard's worker with the shard
-/// state locked for the whole job.
+/// through the shard's cache (whole instance, then components), re-round,
+/// and stream the outcomes back. Runs pinned to the shard's worker with the
+/// shard's cache locked for the whole job.
 #[allow(clippy::too_many_arguments)]
 fn run_shard_plans(
-    shard: &mut ShardState,
+    cache: &mut FactorCache,
     plans: Vec<SolvePlan>,
     shard_index: usize,
     options: &RelaxationOptions,
@@ -1047,12 +998,6 @@ fn run_shard_plans(
     use std::sync::atomic::Ordering;
     let shard_lane = shard_index as u32;
 
-    // Factors computed by *this* job, keyed by fingerprint. Checked before
-    // the shard cache so (a) batch dedup survives `cache_capacity: 0` (the
-    // LRU insert is a no-op then) and (b) the stats can tell within-batch
-    // sharing apart from genuine cross-flush cache reuse.
-    let mut computed_this_batch: std::collections::HashMap<u64, Arc<UtilityFactors>> =
-        std::collections::HashMap::new();
     for plan in plans {
         // lint: allow(wall-clock, per-solve latency telemetry only; solve results never read it)
         let solve_started = Instant::now();
@@ -1062,70 +1007,37 @@ fn run_shard_plans(
         } else {
             Arc::new(plan.base.restrict_users(&plan.present))
         };
-        let factor_fingerprint = match plan.kind {
-            ResolveKind::Incremental => plan.base_fingerprint,
-            ResolveKind::FullLp => instance_fingerprint(&restricted),
+        let (factor_instance, factor_fingerprint) = match plan.kind {
+            ResolveKind::Incremental => (&plan.base, plan.base_fingerprint),
+            ResolveKind::FullLp => (&restricted, instance_fingerprint(&restricted)),
         };
         tracer.finish(t_project, Phase::Project, 0, plan.session, shard_lane);
 
-        // A solve may reuse previously computed factors only when the warm
-        // policy allows it (a forced re-solve, or a cold-baseline engine,
-        // recomputes). Reuse layers, in order: the session's own last
-        // solution, then the shard's fingerprint-keyed factor cache.
-        let reuse_allowed = warm_enabled && plan.lp_start == LpStart::Warm;
-        let session_reused = plan
-            .session_factors
-            .as_ref()
-            .filter(|(fingerprint, _)| reuse_allowed && *fingerprint == factor_fingerprint);
-        let mut warm_served = true;
-        let factors: Arc<UtilityFactors> = if let Some((_, factors)) = session_reused {
-            // lint: allow(relaxed-store, independent monotonic counters; nothing else is published with them)
-            stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-            stats.session_reuse.fetch_add(1, Ordering::Relaxed);
-            Arc::clone(factors)
-        } else if let Some(factors) = reuse_allowed
-            .then(|| computed_this_batch.get(&factor_fingerprint))
-            .flatten()
-        {
-            // lint: allow(relaxed-store, independent monotonic counter; nothing else is published with it)
-            stats.batch_shared.fetch_add(1, Ordering::Relaxed);
-            Arc::clone(factors)
-        } else if let Some(factors) = reuse_allowed
-            .then(|| shard.factors.get(factor_fingerprint))
-            .flatten()
-        {
+        // A solve may read the cache only when the warm policy allows it; a
+        // forced re-solve in a warm engine recomputes everything but still
+        // refreshes the cache, and a cold-baseline engine has no cache.
+        let cache_mode = match (warm_enabled, plan.lp_start) {
+            (false, _) => None,
+            (true, LpStart::Warm) => Some(CacheMode::Reuse),
+            (true, LpStart::Cold) => Some(CacheMode::Refresh),
+        };
+        // lint: allow(wall-clock, LP latency telemetry only; solve results never read it)
+        let started = Instant::now();
+        let t_lp = tracer.begin();
+        let outcome = solve_factors_warm(
+            factor_instance,
+            factor_fingerprint,
+            options,
+            cache_mode.map(|mode| (&mut *cache, mode)),
+        );
+        let warm_served = outcome.cache_hit;
+        if warm_served {
             // lint: allow(relaxed-store, independent monotonic counter; nothing else is published with it)
             stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-            factors
         } else {
-            warm_served = false;
-            let factor_instance = match plan.kind {
-                ResolveKind::Incremental => &plan.base,
-                ResolveKind::FullLp => &restricted,
-            };
-            let component_cache = if !warm_enabled {
-                None
-            } else if reuse_allowed {
-                Some(CacheMode::Reuse)
-            } else {
-                // Forced cold solve in a warm engine: recompute everything,
-                // but refresh the warm cache with the fresh solutions.
-                Some(CacheMode::Refresh)
-            };
-            // lint: allow(wall-clock, LP latency telemetry only; solve results never read it)
-            let started = Instant::now();
-            let t_lp = tracer.begin();
-            let outcome = match component_cache {
-                None => solve_factors_warm(factor_instance, options, None),
-                Some(mode) => solve_factors_warm(
-                    factor_instance,
-                    options,
-                    Some((&mut shard.components, mode)),
-                ),
-            };
-            // Warm vs. cold by what actually happened: a solve that reused at
-            // least one cached component solution ran warm.
-            let lp_phase = if outcome.reused > 0 {
+            // Warm vs. cold by what actually happened: a solve that reused
+            // at least one cached component solution ran warm.
+            let lp_phase = if outcome.warm() {
                 Phase::LpWarm
             } else {
                 Phase::LpCold
@@ -1135,14 +1047,8 @@ fn run_shard_plans(
             // lint: allow(relaxed-store, independent monotonic counter; nothing else is published with it)
             stats.cache_misses.fetch_add(1, Ordering::Relaxed);
             stats.record_lp_compute(nanos, outcome.reused as u64, outcome.solved() as u64);
-            if warm_enabled {
-                shard
-                    .factors
-                    .insert(factor_fingerprint, Arc::clone(&outcome.factors));
-                computed_this_batch.insert(factor_fingerprint, Arc::clone(&outcome.factors));
-            }
-            outcome.factors
-        };
+        }
+        let factors = outcome.factors;
 
         // lint: allow(wall-clock, rounding latency telemetry only; solve results never read it)
         let started = Instant::now();
@@ -1361,57 +1267,21 @@ mod tests {
         assert!(stats.cache_hits >= 1, "stats: {stats}");
     }
 
-    #[test]
-    fn batch_dedup_survives_zero_cache_capacity() {
-        // With the factor cache disabled, two sessions needing the same
-        // fingerprint in one flush must still share a single LP computation
-        // (the within-batch map, not the LRU, carries that guarantee).
-        let mut engine = Engine::new(EngineConfig {
-            workers: 2,
-            shards: 1,
-            cache_capacity: 0,
-            auto_flush_pending: 0,
-            policy: ResolvePolicy {
-                // Escalate to a full solve on every event so both sessions
-                // need factors for the *same restricted* fingerprint (the
-                // session-affine layer can't serve those).
-                full_resolve_event_budget: 1,
-                ..ResolvePolicy::default()
-            },
-            ..EngineConfig::default()
-        });
-        let a = create(&mut engine);
-        let b = create(&mut engine);
-        engine
-            .submit_event(a, SessionEvent::Membership(DynamicEvent::Leave(0)))
-            .unwrap();
-        engine
-            .submit_event(b, SessionEvent::Membership(DynamicEvent::Leave(0)))
-            .unwrap();
-        engine.flush();
-        let stats = engine.stats();
-        assert_eq!(engine.cached_factor_sets(), 0, "cache stays disabled");
-        assert!(stats.batch_shared >= 1, "{stats}");
-        // Two creates + one shared full re-solve = three computations, not
-        // four.
-        assert_eq!(stats.cache_misses, 3, "{stats}");
-    }
-
-    #[test]
-    fn full_resolves_on_fragmented_groups_reuse_untouched_components() {
-        // The component layer's contract end to end: a group whose social
-        // graph splits into two friend pairs loses one shopper; the full
-        // re-solve on the restricted population must reuse the untouched
-        // pair's factors (solved as part of the initial base solve) instead
-        // of recomputing them.
+    /// Two friend pairs, {0, 1} and {2, 3}: a social graph with two
+    /// components.
+    fn two_pairs() -> SvgicInstance {
         use svgic_core::instance::SvgicInstanceBuilder;
         use svgic_graph::SocialGraph;
         let graph = SocialGraph::from_edges(4, [(0, 1), (1, 0), (2, 3), (3, 2)]);
         let mut builder = SvgicInstanceBuilder::new(graph, 4, 2, 0.5);
         builder.fill_preferences(|u, c| 0.1 + 0.07 * ((u * 4 + c) % 9) as f64);
         builder.fill_social(|u, v, c| 0.05 + 0.03 * ((u + 2 * v + c) % 5) as f64);
-        let instance = builder.build().expect("valid instance");
+        builder.build().expect("valid instance")
+    }
 
+    /// A one-shard engine that escalates every event to a full re-solve, and
+    /// a session over [`two_pairs`] that has left `leavers`.
+    fn fragmented_session(leavers: &[UserIdx]) -> (Engine, SessionId) {
         let mut engine = Engine::new(EngineConfig {
             workers: 2,
             shards: 1,
@@ -1424,17 +1294,32 @@ mod tests {
         });
         let view = engine
             .create_session(CreateSession {
-                instance,
+                instance: two_pairs(),
                 initial_present: Vec::new(),
                 seed: 11,
             })
             .expect("session created");
-        let id = view.session;
-        engine
-            .submit_event(id, SessionEvent::Membership(DynamicEvent::Leave(0)))
-            .unwrap();
+        for &user in leavers {
+            engine
+                .submit_event(
+                    view.session,
+                    SessionEvent::Membership(DynamicEvent::Leave(user)),
+                )
+                .unwrap();
+        }
         engine.flush();
-        let view = engine.query_configuration(id).unwrap();
+        (engine, view.session)
+    }
+
+    #[test]
+    fn full_resolves_on_fragmented_groups_reuse_untouched_components() {
+        // The component layer's contract end to end: a group whose social
+        // graph splits into two friend pairs loses one shopper; the full
+        // re-solve on the restricted population must reuse the untouched
+        // pair's factors (solved as part of the initial base solve) instead
+        // of recomputing them.
+        let (engine, id) = fragmented_session(&[0]);
+        let view = engine.sessions[&id.0].view();
         assert_eq!(view.present, vec![1, 2, 3]);
         assert!(view.configuration.is_valid(view.catalog.len()));
         let stats = engine.stats();
@@ -1443,6 +1328,23 @@ mod tests {
             stats.warm_components_reused >= 1,
             "untouched friend pair must be served from the component cache: {stats}"
         );
+    }
+
+    #[test]
+    fn a_population_first_solved_as_a_component_is_a_whole_cache_hit() {
+        // The creation solve splits the group into its two pairs and caches
+        // each under its own fingerprint. When {2, 3} leave, the restricted
+        // instance *is* the pair {0, 1}, so its one lookup hits: no LP runs
+        // and no component is looked up.
+        let (engine, id) = fragmented_session(&[2, 3]);
+        assert_eq!(engine.sessions[&id.0].view().present, vec![0, 1]);
+        let stats = engine.stats();
+        assert_eq!(stats.solves_full, 1, "{stats}");
+        assert_eq!(stats.cache_hits, 1, "{stats}");
+        assert_eq!(stats.cache_misses, 1, "only the creation solve: {stats}");
+        assert_eq!(stats.warm_components_reused, 0, "{stats}");
+        assert_eq!(stats.solves_cold, 1, "{stats}");
+        assert_eq!(engine.cached_factor_sets(), 3, "two pairs and the whole");
     }
 
     #[test]
@@ -1538,10 +1440,10 @@ mod tests {
         assert_eq!(got.generation, want.generation);
         let stats = b.stats();
         assert_eq!(stats.sessions_imported, 1);
-        // The carried factors serve the post-migration incremental re-solve
-        // via session-affine reuse: no LP ran on the receiving engine.
+        // The carried factors, seeded into the receiving shard's cache, serve
+        // the post-migration incremental re-solve: no LP ran on engine B.
         assert!(
-            stats.session_reuse >= 1,
+            stats.cache_hits >= 1,
             "migrated warm capital must be reused: {stats}"
         );
         assert_eq!(stats.cache_misses, 0, "no cold LP after migration");

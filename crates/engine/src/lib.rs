@@ -24,8 +24,9 @@
 //! * [`mem`] — byte-level memory accounting ([`MemoryFootprint`]) for
 //!   session state, pending queues, served solutions and shard caches,
 //!   feeding the `mem_*` gauges;
-//! * [`cache`] — the LRU [`FactorCache`] of LP utility factors, shared
-//!   across re-solves *and across sessions* on the same shard;
+//! * [`cache`] — the LRU [`FactorCache`] of LP utility factors (whole
+//!   instances and social-graph components), one per shard, shared across
+//!   re-solves *and across sessions* on the shard;
 //! * [`warm`] — component-wise warm-started factor solving: the LP separates
 //!   across social-graph components, so re-solves reuse cached factors of
 //!   every component a membership delta did not touch (byte-identical to a

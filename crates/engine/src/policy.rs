@@ -69,7 +69,7 @@ pub struct ResolvePolicy {
     /// Warm-start LP re-solves from cached per-component solutions. Purely
     /// an optimization — factors are identical either way — so this is `true`
     /// by default; `false` gives the cold baseline (and disables the
-    /// component cache entirely). Forced re-solves are always cold.
+    /// factor cache entirely). Forced re-solves are always cold.
     pub warm_start_lp: bool,
 }
 

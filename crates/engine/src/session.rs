@@ -65,13 +65,11 @@ pub struct SessionState {
     pub events_since_full: usize,
     /// Total events applied over the session's lifetime.
     pub lifetime_events: u64,
-    /// The fractional LP factors the last solve used, kept for
-    /// session-affine warm starts: when the next solve needs the same
-    /// factor fingerprint (the common case for incremental re-rounds, whose
-    /// fingerprint is the stable `base_fingerprint`), they are reused without
-    /// touching any shared cache. The variable-index map from these
-    /// full-population factor rows to the present shoppers is `present`
-    /// itself — row `i` of a sliced solve is `present[i]`.
+    /// The fractional LP factors the last solve used — the session's warm
+    /// capital, carried by export and replication and seeded into the
+    /// receiving shard's factor cache on import. The variable-index map
+    /// from these full-population factor rows to the present shoppers is
+    /// `present` itself — row `i` of a sliced solve is `present[i]`.
     pub last_factors: Option<Arc<UtilityFactors>>,
     /// Fingerprint the `last_factors` were computed for.
     pub last_factor_fingerprint: Option<u64>,
@@ -88,10 +86,9 @@ pub struct SessionState {
 /// Importing on another engine continues the session exactly where it left
 /// off: solve seeds derive from `(seed, generation)` and factors are
 /// byte-identical wherever they are computed, so served configurations are
-/// independent of which engine hosts the session. The receiving engine's
-/// session-affine reuse layer picks the carried factors up directly, so a
-/// migrated session keeps its warm-start behaviour without touching the
-/// destination's (cold) caches.
+/// independent of which engine hosts the session. Import seeds the carried
+/// factors into the receiving shard's factor cache, so a migrated session
+/// keeps its warm-start behaviour on a destination that never solved it.
 #[derive(Clone, Debug)]
 pub struct SessionExport {
     /// Full instance (all shoppers, all items).

@@ -44,8 +44,8 @@ pub struct ShardStats {
     /// Entries in this shard's factor cache right now (gauge, refreshed at
     /// the end of each shard pipeline job).
     pub cache_entries: AtomicU64,
-    /// Bytes held by this shard's factor and component caches right now
-    /// (gauge, refreshed alongside `cache_entries`; capacity accounting per
+    /// Bytes held by this shard's factor cache (whole instances and
+    /// components) right now (gauge, refreshed alongside `cache_entries`; capacity accounting per
     /// `svgic_obs::mem`).
     pub cache_bytes: AtomicU64,
 }
@@ -76,49 +76,29 @@ pub struct EngineStats {
     pub solves_incremental: AtomicU64,
     /// Solves executed as full LP re-solves.
     pub solves_full: AtomicU64,
-    /// Factor-cache hits (LP skipped because a previous batch computed it).
+    /// Factor-cache hits: the whole instance's factors were cached (by an
+    /// earlier batch, an earlier session of the same batch, an imported
+    /// session, or as a component of a larger population), so no LP ran.
     pub cache_hits: AtomicU64,
     /// Factor-cache misses (LP executed).
     pub cache_misses: AtomicU64,
-    /// LP solves skipped because another session in the *same* batch needed
-    /// the same fingerprint (batch dedup, distinct from cache reuse).
-    pub batch_shared: AtomicU64,
-    /// Factor lookups satisfied by the session's own last solution (the
-    /// session-affine fast path; also counted in `cache_hits`).
-    pub session_reuse: AtomicU64,
-    /// Re-solves served warm: factors obtained from an exact reuse layer
-    /// (session-affine, fingerprint cache, or within-batch sharing) instead
-    /// of a fresh LP computation.
-    pub solves_warm: AtomicU64,
-    /// Re-solves served cold: factors computed from scratch.
-    pub solves_cold: AtomicU64,
     /// Social-graph components reused verbatim from the warm cache.
     pub warm_components_reused: AtomicU64,
     /// Social-graph components solved from scratch.
     pub warm_components_solved: AtomicU64,
-    /// Total nanoseconds spent in LP relaxation jobs.
-    pub lp_nanos: AtomicU64,
-    /// Total nanoseconds of warm re-solves (factor resolution + rounding).
-    pub warm_solve_nanos: AtomicU64,
-    /// Total nanoseconds of cold re-solves (LP computation + rounding).
-    pub cold_solve_nanos: AtomicU64,
-    /// Total nanoseconds spent in rounding jobs.
-    pub round_nanos: AtomicU64,
-    /// Slowest single job (one LP relaxation or one rounding pass) observed,
-    /// in nanoseconds. LP and rounding run as separate pool jobs (an LP can
-    /// serve many solves), so there is no meaningful combined per-solve total.
-    pub max_solve_nanos: AtomicU64,
     /// Sum of per-solve `(bound - utility) / bound` gaps, in micro-units,
     /// over solves with a tight bound.
     pub gap_micros: AtomicU64,
     /// Number of solves contributing to `gap_micros`.
     pub gap_samples: AtomicU64,
-    /// Per-LP-computation latency distribution (one sample per cache miss —
-    /// the same events that feed `lp_nanos`/`cache_misses`).
+    /// Per-LP-computation latency distribution (one sample per cache miss);
+    /// its count and sum are the snapshot's LP totals.
     pub lp_latency: AtomicHistogram,
-    /// Per-re-solve latency distribution, warm class.
+    /// Per-re-solve latency distribution, warm class (factors served from
+    /// the cache); its count is `solves_warm`.
     pub warm_solve_latency: AtomicHistogram,
-    /// Per-re-solve latency distribution, cold class.
+    /// Per-re-solve latency distribution, cold class (factors computed); its
+    /// count is `solves_cold`.
     pub cold_solve_latency: AtomicHistogram,
     /// Per-rounding-job latency distribution (one sample per solve).
     pub round_latency: AtomicHistogram,
@@ -217,22 +197,9 @@ impl EngineStats {
         }
     }
 
-    /// Records one job's duration (exactly one of `lp`/`rounding` is
-    /// non-zero per call), updating totals and the slowest-job high-water
-    /// mark.
-    pub fn record_solve_nanos(&self, lp: u64, rounding: u64) {
-        // lint: allow(relaxed-store, cumulative totals read for means; a torn read skews one transient mean only)
-        self.lp_nanos.fetch_add(lp, Ordering::Relaxed);
-        self.round_nanos.fetch_add(rounding, Ordering::Relaxed);
-        // lint: allow(relaxed-store, high-water mark; fetch_max keeps it monotonic regardless of order)
-        self.max_solve_nanos
-            .fetch_max(lp.max(rounding), Ordering::Relaxed);
-    }
-
     /// Records one LP factor computation: its duration and how many
     /// social-graph components it warm-reused vs. solved.
     pub fn record_lp_compute(&self, nanos: u64, reused_components: u64, solved_components: u64) {
-        self.record_solve_nanos(nanos, 0);
         self.lp_latency.record_nanos(nanos);
         // lint: allow(relaxed-store, independent monotonic counter; nothing else is published with it)
         self.warm_components_reused
@@ -242,10 +209,8 @@ impl EngineStats {
             .fetch_add(solved_components, Ordering::Relaxed);
     }
 
-    /// Records one rounding job: aggregate time plus the per-job latency
-    /// distribution (every solve rounds exactly once).
+    /// Records one rounding job (every solve rounds exactly once).
     pub fn record_round(&self, nanos: u64) {
-        self.record_solve_nanos(0, nanos);
         self.round_latency.record_nanos(nanos);
     }
 
@@ -253,14 +218,8 @@ impl EngineStats {
     /// warm (factors reused) or cold (factors computed).
     pub fn record_solve_class(&self, nanos: u64, warm: bool) {
         if warm {
-            // lint: allow(relaxed-store, cumulative count and nanos totals; a torn mean is transient and self-corrects)
-            self.solves_warm.fetch_add(1, Ordering::Relaxed);
-            self.warm_solve_nanos.fetch_add(nanos, Ordering::Relaxed);
             self.warm_solve_latency.record_nanos(nanos);
         } else {
-            // lint: allow(relaxed-store, cumulative count and nanos totals; a torn mean is transient and self-corrects)
-            self.solves_cold.fetch_add(1, Ordering::Relaxed);
-            self.cold_solve_nanos.fetch_add(nanos, Ordering::Relaxed);
             self.cold_solve_latency.record_nanos(nanos);
         }
     }
@@ -314,24 +273,22 @@ impl EngineStats {
         clear(&self.solves_full);
         clear(&self.cache_hits);
         clear(&self.cache_misses);
-        clear(&self.batch_shared);
-        clear(&self.session_reuse);
-        clear(&self.solves_warm);
-        clear(&self.solves_cold);
         clear(&self.warm_components_reused);
         clear(&self.warm_components_solved);
-        clear(&self.lp_nanos);
-        clear(&self.warm_solve_nanos);
-        clear(&self.cold_solve_nanos);
-        clear(&self.round_nanos);
-        clear(&self.max_solve_nanos);
         clear(&self.gap_micros);
         clear(&self.gap_samples);
     }
 
-    /// A point-in-time copy of every counter plus derived rates.
+    /// A point-in-time copy of every counter plus derived rates. The LP,
+    /// rounding and warm/cold totals come from the phase histograms that
+    /// record the same events.
     pub fn snapshot(&self) -> StatsSnapshot {
         let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let lp_latency = self.lp_latency.snapshot();
+        let warm_solve_latency = self.warm_solve_latency.snapshot();
+        let cold_solve_latency = self.cold_solve_latency.snapshot();
+        let round_latency = self.round_latency.snapshot();
+        let total = |histogram: &HistogramSnapshot| Duration::from_nanos(histogram.sum_nanos());
         StatsSnapshot {
             requests: load(&self.requests),
             sessions_created: load(&self.sessions_created),
@@ -361,23 +318,23 @@ impl EngineStats {
             solves_full: load(&self.solves_full),
             cache_hits: load(&self.cache_hits),
             cache_misses: load(&self.cache_misses),
-            batch_shared: load(&self.batch_shared),
-            session_reuse: load(&self.session_reuse),
-            solves_warm: load(&self.solves_warm),
-            solves_cold: load(&self.solves_cold),
+            solves_warm: warm_solve_latency.count(),
+            solves_cold: cold_solve_latency.count(),
             warm_components_reused: load(&self.warm_components_reused),
             warm_components_solved: load(&self.warm_components_solved),
-            lp_time: Duration::from_nanos(load(&self.lp_nanos)),
-            warm_solve_time: Duration::from_nanos(load(&self.warm_solve_nanos)),
-            cold_solve_time: Duration::from_nanos(load(&self.cold_solve_nanos)),
-            round_time: Duration::from_nanos(load(&self.round_nanos)),
-            max_solve_time: Duration::from_nanos(load(&self.max_solve_nanos)),
+            lp_time: total(&lp_latency),
+            warm_solve_time: total(&warm_solve_latency),
+            cold_solve_time: total(&cold_solve_latency),
+            round_time: total(&round_latency),
+            max_solve_time: Duration::from_nanos(
+                lp_latency.max_nanos().max(round_latency.max_nanos()),
+            ),
             gap_micros: load(&self.gap_micros),
             gap_samples: load(&self.gap_samples),
-            lp_latency: self.lp_latency.snapshot(),
-            warm_solve_latency: self.warm_solve_latency.snapshot(),
-            cold_solve_latency: self.cold_solve_latency.snapshot(),
-            round_latency: self.round_latency.snapshot(),
+            lp_latency,
+            warm_solve_latency,
+            cold_solve_latency,
+            round_latency,
             queue_wait_latency: self.queue_wait_latency.snapshot(),
             profile: Vec::new(),
             profile_dropped: 0,
@@ -438,11 +395,7 @@ pub struct StatsSnapshot {
     pub cache_hits: u64,
     /// Factor-cache misses.
     pub cache_misses: u64,
-    /// LP solves deduplicated within a single batch.
-    pub batch_shared: u64,
-    /// Factor lookups satisfied by the session's own last solution.
-    pub session_reuse: u64,
-    /// Re-solves whose factors came from an exact reuse layer.
+    /// Re-solves whose factors came from the factor cache.
     pub solves_warm: u64,
     /// Re-solves that computed factors from scratch.
     pub solves_cold: u64,
@@ -550,8 +503,6 @@ impl StatsSnapshot {
         self.solves_full += other.solves_full;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
-        self.batch_shared += other.batch_shared;
-        self.session_reuse += other.session_reuse;
         self.solves_warm += other.solves_warm;
         self.solves_cold += other.solves_cold;
         self.warm_components_reused += other.warm_components_reused;
@@ -625,7 +576,7 @@ impl StatsSnapshot {
     }
 
     /// Mean latency of one LP relaxation job (LP jobs run once per cache
-    /// miss; hits and batch-shared solves skip the LP entirely). Derived
+    /// miss; hits skip the LP entirely). Derived
     /// from the per-phase histogram, so `p50/p95/p99` companions in
     /// [`StatsSnapshot::metrics`] describe the same sample set; zero (never
     /// NaN) when no LP ran.
@@ -633,9 +584,9 @@ impl StatsSnapshot {
         mean_of(&self.lp_latency)
     }
 
-    /// Fraction of re-solves served warm — factors reused from the session,
-    /// a fingerprint cache, or within-batch sharing rather than recomputed —
-    /// in `[0, 1]` (`0` when nothing was solved).
+    /// Fraction of re-solves served warm — factors served from the factor
+    /// cache rather than computed — in `[0, 1]` (`0` when nothing was
+    /// solved).
     pub fn warm_start_rate(&self) -> f64 {
         let solves = self.solves_warm + self.solves_cold;
         if solves == 0 {
@@ -770,8 +721,6 @@ impl StatsSnapshot {
         registry.counter("solves_full", self.solves_full);
         registry.counter("cache_hits", self.cache_hits);
         registry.counter("cache_misses", self.cache_misses);
-        registry.counter("batch_shared", self.batch_shared);
-        registry.counter("session_reuse", self.session_reuse);
         registry.counter("solves_warm", self.solves_warm);
         registry.counter("solves_cold", self.solves_cold);
         registry.counter("warm_components_reused", self.warm_components_reused);
@@ -864,21 +813,19 @@ impl std::fmt::Display for StatsSnapshot {
         )?;
         writeln!(
             f,
-            "  factors  {:>8} cache hits / {} misses (hit rate {:.1}%), {} batch-shared",
+            "  factors  {:>8} cache hits / {} misses (hit rate {:.1}%)",
             self.cache_hits,
             self.cache_misses,
-            100.0 * self.cache_hit_rate(),
-            self.batch_shared
+            100.0 * self.cache_hit_rate()
         )?;
         writeln!(
             f,
-            "  warm     {:>8} warm / {} cold re-solves (warm-start rate {:.1}%), {} of {} components reused, {} session-affine reuses",
+            "  warm     {:>8} warm / {} cold re-solves (warm-start rate {:.1}%), {} of {} components reused",
             self.solves_warm,
             self.solves_cold,
             100.0 * self.warm_start_rate(),
             self.warm_components_reused,
-            self.warm_components_reused + self.warm_components_solved,
-            self.session_reuse
+            self.warm_components_reused + self.warm_components_solved
         )?;
         writeln!(
             f,
@@ -1079,8 +1026,15 @@ mod tests {
         assert!((snap.component_reuse_rate() - 2.0 / 6.0).abs() < 1e-12);
         assert_eq!(snap.mean_warm_solve_time(), Duration::from_nanos(4_000));
         assert_eq!(snap.mean_cold_solve_time(), Duration::from_nanos(20_000));
-        // LP computation durations feed the aggregate LP accounting.
+        // The totals are the phase histograms' sums and maxima.
         assert_eq!(snap.lp_time, Duration::from_nanos(16_000));
+        assert_eq!(snap.warm_solve_time, Duration::from_nanos(4_000));
+        assert_eq!(snap.cold_solve_time, Duration::from_nanos(20_000));
+        assert_eq!(snap.max_solve_time, Duration::from_nanos(10_000));
+        stats.record_round(12_000);
+        let snap = stats.snapshot();
+        assert_eq!(snap.round_time, Duration::from_nanos(12_000));
+        assert_eq!(snap.max_solve_time, Duration::from_nanos(12_000));
         let metrics = snap.metrics();
         let get = |name: &str| metrics.iter().find(|(n, _)| *n == name).unwrap().1;
         assert!((get("warm_start_rate") - 0.5).abs() < 1e-12);
@@ -1220,7 +1174,7 @@ mod tests {
     fn reset_zeroes_everything() {
         let stats = EngineStats::default();
         stats.requests.store(5, Ordering::Relaxed);
-        stats.record_solve_nanos(1_000, 0);
+        stats.record_lp_compute(1_000, 0, 1);
         stats.record_gap(0.5, 1.0);
         stats.reset();
         let snap = stats.snapshot();
@@ -1232,7 +1186,8 @@ mod tests {
     #[test]
     fn display_renders() {
         let stats = EngineStats::default();
-        stats.record_solve_nanos(1_000, 2_000);
+        stats.record_lp_compute(1_000, 0, 1);
+        stats.record_round(2_000);
         let text = stats.snapshot().to_string();
         assert!(text.contains("engine stats"));
         assert!(text.contains("hit rate"));
@@ -1295,12 +1250,13 @@ mod tests {
         a_stats.requests.store(3, Ordering::Relaxed);
         a_stats.solves_full.store(2, Ordering::Relaxed);
         a_stats.record_shard_dispatch(1, 5);
-        a_stats.record_solve_nanos(1_000, 500);
+        a_stats.record_lp_compute(1_000, 0, 1);
+        a_stats.record_round(500);
         let b_stats = EngineStats::with_shards(4);
         b_stats.requests.store(4, Ordering::Relaxed);
         b_stats.solves_incremental.store(6, Ordering::Relaxed);
         b_stats.record_shard_dispatch(3, 1);
-        b_stats.record_solve_nanos(9_000, 0);
+        b_stats.record_lp_compute(9_000, 0, 1);
         let mut merged = a_stats.snapshot();
         merged.merge(&b_stats.snapshot());
         assert_eq!(merged.requests, 7);

@@ -118,7 +118,7 @@ fn serve_digest(script: &[ServeStep], warm: bool) -> u64 {
     let mut engine = Engine::new(EngineConfig {
         workers: 2,
         auto_flush_pending: 0,
-        component_cache_capacity: if warm { 64 } else { 0 },
+        cache_capacity: if warm { 64 } else { 0 },
         policy: ResolvePolicy {
             warm_start_lp: warm,
             ..ResolvePolicy::default()

@@ -24,18 +24,10 @@
 //!   of the paper and is what makes the large-scale experiments feasible
 //!   without a commercial solver.
 //!
-//! ## Example: warm-started structured re-solves
-//!
-//! The serving engine's incremental path re-solves near-identical LPs as
-//! sessions churn; [`solve_min_coupling_warm`] maps a prior fractional
-//! solution onto the new problem and only re-ascends the dirty
-//! neighbourhood — an unchanged problem converges in **zero** passes:
+//! ## Example: the structured solver on a tiny min-coupling problem
 //!
 //! ```rust
-//! use svgic_lp::{
-//!     solve_min_coupling, solve_min_coupling_warm, CoordinateAscentOptions,
-//!     MinCouplingProblem, WarmStart,
-//! };
+//! use svgic_lp::{solve_min_coupling, CoordinateAscentOptions, MinCouplingProblem};
 //!
 //! // Two groups with unit budgets, four variables, one cross-group coupling.
 //! let mut problem = MinCouplingProblem::new(vec![1.0, 1.0]);
@@ -46,18 +38,10 @@
 //! assert_eq!((a, b, c, d), (0, 1, 2, 3));
 //! problem.add_coupling(a, c, 1.0);
 //!
-//! let options = CoordinateAscentOptions::default();
-//! let cold = solve_min_coupling(&problem, &options);
-//!
-//! // Identity mapping, nothing dirty: the warm start is already optimal.
-//! let var_map: Vec<Option<usize>> = (0..4).map(Some).collect();
-//! let warm = solve_min_coupling_warm(
-//!     &problem,
-//!     &options,
-//!     &WarmStart { prior: &cold.values, var_map: &var_map, dirty_groups: &[] },
-//! );
-//! assert_eq!(warm.passes, 0, "fixed point recognised without work");
-//! assert!((warm.objective - cold.objective).abs() < 1e-9);
+//! // Both groups pick their coupled variable: 2.0 + 1.5 + 1.0.
+//! let solution = solve_min_coupling(&problem, &CoordinateAscentOptions::default());
+//! assert!(problem.is_feasible(&solution.values, 1e-9));
+//! assert!((solution.objective - 4.5).abs() < 1e-9);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -72,6 +56,6 @@ pub use branch_bound::{BranchBoundConfig, MilpResult, MilpStatus, NodeSelection}
 pub use model::{Constraint, ConstraintSense, LinearProgram, Solution, SolveWork, VarId, VarKind};
 pub use simplex::{solve_lp, SimplexError, SimplexOptions};
 pub use structured::{
-    project_onto_budgets, solve_min_coupling, solve_min_coupling_warm, CoordinateAscentOptions,
-    CouplingTerm, MinCouplingProblem, StructuredSolution, WarmStart,
+    solve_min_coupling, CoordinateAscentOptions, CouplingTerm, MinCouplingProblem,
+    StructuredSolution,
 };

@@ -43,7 +43,7 @@ pub struct TelemetrySample {
     pub mem_pending_bytes: u64,
     /// Bytes held by served solutions.
     pub mem_served_bytes: u64,
-    /// Bytes held by per-shard factor and component caches.
+    /// Bytes held by the per-shard factor caches.
     pub mem_cache_bytes: u64,
     /// Total accounted bytes (the sum of the other `mem_*` gauges).
     pub mem_total_bytes: u64,

@@ -263,3 +263,49 @@ fn cache_gauge_matches_the_factors_it_holds() {
         deep
     );
 }
+
+#[test]
+fn cache_gauge_covers_every_cached_component() {
+    // Two friend pairs and a loner: the creation solve splits the group into
+    // three social-graph components, caching each component's factors and
+    // the assembled whole in the shard's one factor cache. The gauge must
+    // price all four entries, each walked here from its dimensions.
+    use svgic::core::SvgicInstanceBuilder;
+    use svgic::graph::SocialGraph;
+    let (n, m) = (5usize, 32usize);
+    let graph = SocialGraph::from_edges(n, [(0, 1), (1, 0), (2, 3), (3, 2)]);
+    let mut builder = SvgicInstanceBuilder::new(graph, m, 2, 0.5);
+    builder.fill_preferences(|u, c| 0.1 + 0.07 * ((u * 4 + c) % 9) as f64);
+    builder.fill_social(|u, v, c| 0.05 + 0.03 * ((u + 2 * v + c) % 5) as f64);
+    let instance = builder.build().expect("valid instance");
+    let components = instance.graph().connected_components();
+    assert_eq!(components.len(), 3);
+
+    let mut engine = engine();
+    engine
+        .create_session(CreateSession {
+            instance,
+            initial_present: Vec::new(),
+            seed: 9,
+        })
+        .expect("session opens");
+    let stats = engine.stats();
+    assert_eq!(stats.cache_misses, 1, "one LP solve: {stats}");
+    assert_eq!(
+        stats.total_cache_entries(),
+        1 + components.len() as u64,
+        "the whole instance plus every component: {stats}"
+    );
+    let matrix = |users: usize| (users * m * size_of::<f64>()) as u64;
+    let deep = matrix(n)
+        + components
+            .iter()
+            .map(|component| matrix(component.len()))
+            .sum::<u64>();
+    assert!(
+        within_15pct(stats.mem_cache_bytes(), deep),
+        "mem_cache_bytes {} vs walked factors {}",
+        stats.mem_cache_bytes(),
+        deep
+    );
+}
